@@ -227,20 +227,10 @@ fn check() {
     );
     let baseline = SimDuration::from_secs(20);
     let attack = SimDuration::from_secs(60);
-    let forked = lab::AttackRun::execute_opts(
-        &scenario,
-        grunt::CampaignConfig::default(),
-        baseline,
-        attack,
-        true,
-    );
-    let cold = lab::AttackRun::execute_opts(
-        &scenario,
-        grunt::CampaignConfig::default(),
-        baseline,
-        attack,
-        false,
-    );
+    let config = grunt::CampaignConfig::default();
+    let warm = lab::WarmProfiled::new(&scenario, config.profiler.clone(), baseline);
+    let forked = lab::AttackRun::forked(&warm, config.commander.clone(), attack);
+    let cold = lab::AttackRun::execute(&scenario, config, baseline, attack);
     let forked_report = comparison_report(&forked);
     let cold_report = comparison_report(&cold);
     if forked_report != cold_report {
@@ -565,7 +555,7 @@ fn main() {
     let fork_long_ns = time_ns(|| long.metrics().clone().request_log().len() as u64, 300);
     let deep_long_ns = time_ns(|| deep_copy_metrics(long.metrics()), 300);
     let fork_vs_deep = deep_long_ns / fork_long_ns;
-    // The full fork (metrics + agent snapshots + event queue rebuild) is
+    // The full fork (metrics + agent state + event queue rebuild) is
     // what every warm-start experiment pays per cell. With COW sample
     // stores the cost depends only on the bounded mutable tails, so an
     // 8x-longer warm prefix must fork in (nearly) the same time.
@@ -743,10 +733,11 @@ fn main() {
         eprintln!("== Table I param sweep (4 damage-goal cells): cold vs forked ==");
         let opts = lab::RunOpts::new(lab::Fidelity::Fast);
         let t0 = Instant::now();
-        let cold = lab::experiments::table1::param_sweep_report(opts.snapshots(false));
+        let cold =
+            lab::experiments::table1::param_sweep_report_with(&opts, lab::AttackRun::execute);
         let cold_secs = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let forked = lab::experiments::table1::param_sweep_report(opts);
+        let forked = lab::experiments::table1::param_sweep_report(&opts);
         let forked_secs = t1.elapsed().as_secs_f64();
         assert_eq!(
             cold.to_markdown(),
@@ -773,14 +764,20 @@ fn main() {
             .take(2)
             .collect();
         let t0 = Instant::now();
-        let serial = lab::experiments::table1::report_for(&settings, lab::Fidelity::Fast, 1);
+        let serial = lab::experiments::table1::report_for(
+            &settings,
+            &lab::RunOpts::new(lab::Fidelity::Fast),
+        );
         let serial_secs = t0.elapsed().as_secs_f64();
         // On a single-CPU host the jobs=2 run would just time-slice the
         // same core and report a meaningless "slowdown", so measure it only
         // when a second CPU exists and publish `null` otherwise.
         let parallel_secs = if cpus >= 2 {
             let t1 = Instant::now();
-            let parallel = lab::experiments::table1::report_for(&settings, lab::Fidelity::Fast, 2);
+            let parallel = lab::experiments::table1::report_for(
+                &settings,
+                &lab::RunOpts::new(lab::Fidelity::Fast).jobs(2),
+            );
             let secs = t1.elapsed().as_secs_f64();
             assert_eq!(
                 serial.to_markdown(),

@@ -22,7 +22,7 @@ fn reference_blocked(times: &[u64], window_us: u64, budget: u32) -> bool {
     false
 }
 
-fn run_with_schedule(schedule: &[u64]) -> microsim::Metrics {
+fn simulate_schedule(schedule: &[u64]) -> microsim::Metrics {
     let mut b = TopologyBuilder::new();
     let gw = b.add_service(ServiceSpec::new("gw").threads(512).cores(8).demand_cv(0.0));
     b.add_request_type("r", vec![(gw, SimDuration::from_micros(50))]);
@@ -57,7 +57,7 @@ proptest! {
         budget in 1u32..20,
     ) {
         offsets.sort_unstable();
-        let metrics = run_with_schedule(&offsets);
+        let metrics = simulate_schedule(&offsets);
         let shield = RateShield::new(SimDuration::from_millis(window_ms), budget);
         let verdicts = shield.analyze(&metrics);
         let got_blocked = matches!(verdicts.get(&0xFEED), Some(ShieldVerdict::Blocked(_)));

@@ -1,19 +1,14 @@
 //! Experiment runner CLI.
 //!
 //! ```text
-//! lab <experiment|all> [--fast] [--out <dir>] [--jobs <N|auto>] [--no-snapshot]
+//! lab <experiment|all> [--fast] [--out <dir>] [--jobs <N|auto>]
 //! ```
 //!
-//! `--jobs` runs independent sweep cells (table experiments) on up to `N`
-//! OS threads; results are emitted in cell order, so the written reports
-//! are byte-identical to a serial run. Defaults to `LAB_JOBS` or 1.
-//! `--jobs auto` uses the machine's available parallelism, falling back to
-//! serial on single-CPU hosts.
-//!
-//! `--no-snapshot` disables warm-state snapshot forking: every run
-//! re-simulates its warm-up/baseline/profiling prefix inline. Reports are
-//! byte-identical with or without it — the flag exists for debugging the
-//! snapshot path itself and for benchmarking the saving.
+//! `--jobs` runs the independent cells of every multi-cell experiment on up
+//! to `N` OS threads; results are emitted in cell order, so the written
+//! reports are byte-identical to a serial run. Defaults to 1. `--jobs auto`
+//! uses the machine's available parallelism, falling back to serial on
+//! single-CPU hosts.
 //!
 //! Known experiments: see `lab::experiments::ALL`.
 
@@ -23,14 +18,19 @@ fn main() {
     // CLI harness: argv selects which simulations run, never what they
     // compute. simlint: allow(nondet-source)
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let names = || {
+        experiments::ALL
+            .iter()
+            .map(|(name, _)| *name)
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        eprintln!(
-            "usage: lab <experiment|all> [--fast] [--out <dir>] [--jobs <N|auto>] [--no-snapshot]"
-        );
-        eprintln!("experiments: {}", experiments::ALL.join(", "));
+        eprintln!("usage: lab <experiment|all> [--fast] [--out <dir>] [--jobs <N|auto>]");
+        eprintln!("experiments: {}", names());
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
-    let which = args[0].clone();
+    let which = args[0].as_str();
     let fidelity = if args.iter().any(|a| a == "--fast") {
         Fidelity::Fast
     } else {
@@ -47,7 +47,7 @@ fn main() {
         .position(|a| a == "--jobs")
         .and_then(|i| args.get(i + 1))
     {
-        None => sweep::default_jobs(),
+        None => 1,
         Some(v) if v == "auto" => sweep::auto_jobs(),
         Some(v) => v
             .parse::<usize>()
@@ -58,33 +58,22 @@ fn main() {
                 std::process::exit(2);
             }),
     };
-    let snapshots = !args.iter().any(|a| a == "--no-snapshot");
 
-    let names: Vec<&str> = if which == "all" {
+    let selected = if which == "all" {
         experiments::ALL.to_vec()
-    } else if experiments::ALL.contains(&which.as_str()) {
-        vec![experiments::ALL
-            .iter()
-            .find(|n| **n == which)
-            .copied()
-            .expect("checked")]
+    } else if let Some(run) = experiments::find(which) {
+        vec![(which, run)]
     } else {
-        eprintln!(
-            "unknown experiment {which:?}; known: {}",
-            experiments::ALL.join(", ")
-        );
+        eprintln!("unknown experiment {which:?}; known: {}", names());
         std::process::exit(2);
     };
 
-    for name in names {
+    let opts = RunOpts::new(fidelity).jobs(jobs);
+    for (name, run) in selected {
         // Wall-clock progress echo on stderr; reports never include it.
         let started = std::time::Instant::now(); // simlint: allow(nondet-source)
-        eprintln!(
-            "== running {name} ({fidelity:?}, jobs={jobs}{}) ==",
-            if snapshots { "" } else { ", no-snapshot" }
-        );
-        let opts = RunOpts::new(fidelity).jobs(jobs).snapshots(snapshots);
-        let report = experiments::run_with(name, opts);
+        eprintln!("== running {name} ({fidelity:?}, jobs={jobs}) ==");
+        let report = run(&opts);
         let path = match report.write_to_dir(&out_dir) {
             Ok(path) => path,
             Err(e) => {

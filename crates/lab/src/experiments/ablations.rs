@@ -3,25 +3,13 @@
 
 use baselines::{BruteForce, TailAttack, TailAttackConfig};
 use defense::{AlertKind, Ids, IdsConfig, RateShield};
-use grunt::{CampaignConfig, ProfilerConfig};
-use microsim::{Metrics, Simulation};
+use grunt::{CommanderConfig, ProfilerConfig};
+use microsim::{Agent, Metrics, Simulation};
 use simnet::{SimDuration, SimTime};
 use telemetry::{LatencySummary, Traffic};
 
 use crate::report::fmt;
-use crate::{AttackRun, Fidelity, Report, RunOpts, Scenario};
-
-struct Row {
-    label: String,
-    attack_requests: u64,
-    attack_mb: f64,
-    damage_avg_ms: f64,
-    damage_p95_ms: f64,
-    write_path_ms: f64,
-    interval_alerts: usize,
-    resource_alerts: usize,
-    blocked_ips: usize,
-}
+use crate::{sweep, AttackRun, Report, RunOpts, Scenario};
 
 fn write_path_ms(metrics: &Metrics, topo: &callgraph::Topology, from: SimTime, to: SimTime) -> f64 {
     LatencySummary::compute(
@@ -57,20 +45,51 @@ fn attack_bytes(metrics: &Metrics, from: SimTime, to: SimTime) -> (u64, f64) {
     (n, bytes as f64 / 1e6)
 }
 
-/// Runs the experiment.
-pub fn run(fidelity: Fidelity) -> Report {
-    run_opts(RunOpts::new(fidelity))
+/// The compared attacks, one sweep cell each.
+#[derive(Debug, Clone, Copy)]
+enum Attack {
+    /// A Grunt campaign; `adaptive: false` freezes its parameters (no
+    /// Kalman feedback).
+    Grunt { adaptive: bool },
+    /// The single-path Tail attack.
+    Tail,
+    /// A 3x-capacity flood.
+    BruteForce,
 }
 
-/// Runs the experiment with full execution options.
+/// One table row: attack traffic from `attack_from` to the end of the
+/// `[damage_from, to)` window, legitimate damage over that window (ramp
+/// excluded), detection over the whole run.
+fn row(
+    label: &str,
+    sim: &Simulation,
+    attack_from: SimTime,
+    (damage_from, to): (SimTime, SimTime),
+) -> Vec<String> {
+    let m = sim.metrics();
+    let att = LatencySummary::compute(m, Traffic::Legit, None, damage_from, to);
+    let (n, mb) = attack_bytes(m, attack_from, to);
+    let (interval, resource, blocked) = detect(m);
+    vec![
+        label.to_string(),
+        n.to_string(),
+        fmt(mb, 1),
+        fmt(att.avg_ms, 0),
+        fmt(att.p95_ms, 0),
+        fmt(write_path_ms(m, sim.topology(), damage_from, to), 0),
+        interval.to_string(),
+        resource.to_string(),
+        blocked.to_string(),
+    ]
+}
+
+/// Runs the experiment.
 ///
 /// All four rows attack the same scenario after the same 40 s warm prefix
 /// (10 s warm-up + 30 s baseline), and the two Grunt rows additionally
-/// share the profiling phase. With `opts.snapshots` those shared prefixes
-/// are simulated once and every row forks from the frozen state; without,
-/// each row re-simulates its prefix cold. Rows are byte-identical either
-/// way.
-pub fn run_opts(opts: RunOpts) -> Report {
+/// share the profiling phase. Those shared prefixes are simulated once and
+/// every row forks from the frozen state.
+pub fn run(opts: &RunOpts) -> Report {
     let fidelity = opts.fidelity;
     let users = fidelity.pick(7_000, 3_000);
     let window = fidelity.secs(300, 120);
@@ -82,177 +101,68 @@ pub fn run_opts(opts: RunOpts) -> Report {
         7_000,
         0xAB1A,
     );
+    let base = scenario.warm_base(baseline);
+    let profiled = base.profiled(ProfilerConfig::default());
 
-    let base = opts.snapshots.then(|| scenario.warm_base(baseline));
-    let profiled = base.as_ref().map(|b| b.profiled(ProfilerConfig::default()));
-    // A Grunt campaign run: fork the shared profiled state, or replay the
-    // whole prefix inline when snapshots are off.
-    let grunt_run = |config: CampaignConfig| match &profiled {
-        Some(warm) => AttackRun::forked(warm, config.commander, window),
-        None => AttackRun::execute_opts(&scenario, config, baseline, window, false),
-    };
-    // A warmed simulation at t = 40 s for the baseline attacks: fork the
-    // shared base, or warm up a fresh simulation inline.
-    let warmed_sim = || match &base {
-        Some(b) => b.fork(),
-        None => {
-            let mut sim = scenario.build();
-            sim.run_until(SimTime::from_secs(40));
-            sim
-        }
-    };
-
-    let mut rows: Vec<Row> = Vec::new();
-
-    // ---- Grunt ----
-    {
-        let run = grunt_run(CampaignConfig::default());
-        let att = run.attack_latency();
-        let (n, mb) = attack_bytes(
-            run.metrics(),
-            run.campaign.attack_started,
-            run.attack_window.1,
-        );
-        let (interval, resource, blocked) = detect(run.metrics());
-        let wp = write_path_ms(
-            run.metrics(),
-            &scenario.topology,
-            run.attack_window.0,
-            run.attack_window.1,
-        );
-        rows.push(Row {
-            label: "Grunt (multi-path alternating)".into(),
-            attack_requests: n,
-            attack_mb: mb,
-            damage_avg_ms: att.avg_ms,
-            damage_p95_ms: att.p95_ms,
-            write_path_ms: wp,
-            interval_alerts: interval,
-            resource_alerts: resource,
-            blocked_ips: blocked,
-        });
-    }
-
-    // ---- Grunt with frozen parameters (no Kalman feedback) ----
-    {
-        let config = CampaignConfig {
-            commander: grunt::CommanderConfig {
-                adaptive: false,
-                ..grunt::CommanderConfig::default()
-            },
-            ..CampaignConfig::default()
+    let cells = [
+        (
+            "Grunt (multi-path alternating)",
+            Attack::Grunt { adaptive: true },
+        ),
+        (
+            "Grunt (frozen parameters)",
+            Attack::Grunt { adaptive: false },
+        ),
+        ("Tail attack (single path)", Attack::Tail),
+        ("Brute force (3x capacity flood)", Attack::BruteForce),
+    ];
+    // The baseline attacks start where the shared warm prefix ends.
+    let a0 = base.baseline_window.1;
+    let rows = sweep::map_cells(opts.jobs, &cells, |_, &(label, attack)| {
+        let agent: Box<dyn Agent> = match attack {
+            Attack::Grunt { adaptive } => {
+                let commander = CommanderConfig {
+                    adaptive,
+                    ..CommanderConfig::default()
+                };
+                let run = AttackRun::forked(&profiled, commander, window);
+                return row(
+                    label,
+                    &run.sim,
+                    run.campaign.attack_started,
+                    run.attack_window,
+                );
+            }
+            Attack::Tail => {
+                let target = scenario
+                    .topology
+                    .request_type_by_name("compose-rich-post")
+                    .expect("known type");
+                Box::new(TailAttack::new(TailAttackConfig::comparable(
+                    target,
+                    a0 + window,
+                )))
+            }
+            // Sized against the *provisioned* capacity (7k users), not the
+            // current load — brute force must overwhelm the deployment.
+            Attack::BruteForce => Box::new(BruteForce::new(
+                apps::social_network(7_000).request_mix(),
+                7_000.0 / 7.0 * 3.0,
+                300,
+                a0 + window,
+                3,
+            )),
         };
-        let run = grunt_run(config);
-        let att = run.attack_latency();
-        let (n, mb) = attack_bytes(
-            run.metrics(),
-            run.campaign.attack_started,
-            run.attack_window.1,
-        );
-        let (interval, resource, blocked) = detect(run.metrics());
-        let wp = write_path_ms(
-            run.metrics(),
-            &scenario.topology,
-            run.attack_window.0,
-            run.attack_window.1,
-        );
-        rows.push(Row {
-            label: "Grunt (frozen parameters)".into(),
-            attack_requests: n,
-            attack_mb: mb,
-            damage_avg_ms: att.avg_ms,
-            damage_p95_ms: att.p95_ms,
-            write_path_ms: wp,
-            interval_alerts: interval,
-            resource_alerts: resource,
-            blocked_ips: blocked,
-        });
-    }
-
-    // ---- Tail attack (single path) ----
-    {
-        let mut sim: Simulation = warmed_sim();
-        let target = scenario
-            .topology
-            .request_type_by_name("compose-rich-post")
-            .expect("known type");
-        let a0 = sim.now();
-        sim.add_agent(Box::new(TailAttack::new(TailAttackConfig::comparable(
-            target,
-            a0 + window,
-        ))));
+        let mut sim = base.fork();
+        sim.add_agent(agent);
         sim.run_until(a0 + window);
-        let att = LatencySummary::compute(
-            sim.metrics(),
-            Traffic::Legit,
-            None,
-            a0 + SimDuration::from_secs(20),
-            a0 + window,
-        );
-        let (n, mb) = attack_bytes(sim.metrics(), a0, a0 + window);
-        let (interval, resource, blocked) = detect(sim.metrics());
-        let wp = write_path_ms(
-            sim.metrics(),
-            &scenario.topology,
-            a0 + SimDuration::from_secs(20),
-            a0 + window,
-        );
-        rows.push(Row {
-            label: "Tail attack (single path)".into(),
-            attack_requests: n,
-            attack_mb: mb,
-            damage_avg_ms: att.avg_ms,
-            damage_p95_ms: att.p95_ms,
-            write_path_ms: wp,
-            interval_alerts: interval,
-            resource_alerts: resource,
-            blocked_ips: blocked,
-        });
-    }
-
-    // ---- Brute force ----
-    {
-        let mut sim: Simulation = warmed_sim();
-        let a0 = sim.now();
-        let app = apps::social_network(7_000);
-        // Sized against the *provisioned* capacity (7k users), not the
-        // current load — brute force must overwhelm the deployment.
-        let provisioned_rate = 7_000.0 / 7.0;
-        sim.add_agent(Box::new(BruteForce::new(
-            app.request_mix(),
-            provisioned_rate * 3.0,
-            300,
-            a0 + window,
-            3,
-        )));
-        sim.run_until(a0 + window);
-        let att = LatencySummary::compute(
-            sim.metrics(),
-            Traffic::Legit,
-            None,
-            a0 + SimDuration::from_secs(20),
-            a0 + window,
-        );
-        let (n, mb) = attack_bytes(sim.metrics(), a0, a0 + window);
-        let (interval, resource, blocked) = detect(sim.metrics());
-        let wp = write_path_ms(
-            sim.metrics(),
-            &scenario.topology,
-            a0 + SimDuration::from_secs(20),
-            a0 + window,
-        );
-        rows.push(Row {
-            label: "Brute force (3x capacity flood)".into(),
-            attack_requests: n,
-            attack_mb: mb,
-            damage_avg_ms: att.avg_ms,
-            damage_p95_ms: att.p95_ms,
-            write_path_ms: wp,
-            interval_alerts: interval,
-            resource_alerts: resource,
-            blocked_ips: blocked,
-        });
-    }
+        row(
+            label,
+            &sim,
+            a0,
+            (a0 + SimDuration::from_secs(20), a0 + window),
+        )
+    });
 
     let mut report = Report::new(
         "ablation_baselines",
@@ -276,21 +186,7 @@ pub fn run_opts(opts: RunOpts) -> Report {
             "Resource alerts",
             "Blocked IPs",
         ],
-        rows.iter()
-            .map(|r| {
-                vec![
-                    r.label.clone(),
-                    r.attack_requests.to_string(),
-                    fmt(r.attack_mb, 1),
-                    fmt(r.damage_avg_ms, 0),
-                    fmt(r.damage_p95_ms, 0),
-                    fmt(r.write_path_ms, 0),
-                    r.interval_alerts.to_string(),
-                    r.resource_alerts.to_string(),
-                    r.blocked_ips.to_string(),
-                ]
-            })
-            .collect(),
+        rows,
     );
     report.paragraph(
         "Expected shape: Grunt achieves system-wide damage with zero identity-keyed \

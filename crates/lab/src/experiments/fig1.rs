@@ -7,15 +7,10 @@ use simnet::SimDuration;
 use telemetry::{CoarseMonitor, LatencySeries, Traffic};
 
 use crate::report::fmt;
-use crate::{AttackRun, Fidelity, Report, RunOpts, Scenario};
+use crate::{AttackRun, Report, RunOpts, Scenario};
 
 /// Runs the experiment.
-pub fn run(fidelity: Fidelity) -> Report {
-    run_opts(RunOpts::new(fidelity))
-}
-
-/// Runs the experiment with full execution options.
-pub fn run_opts(opts: RunOpts) -> Report {
+pub fn run(opts: &RunOpts) -> Report {
     let fidelity = opts.fidelity;
     let baseline = fidelity.secs(60, 30);
     let attack = fidelity.secs(300, 120);
@@ -26,13 +21,7 @@ pub fn run_opts(opts: RunOpts) -> Report {
         12_000,
         0xF160,
     );
-    let run = AttackRun::execute_opts(
-        &scenario,
-        CampaignConfig::default(),
-        baseline,
-        attack,
-        opts.snapshots,
-    );
+    let run = AttackRun::execute(&scenario, CampaignConfig::default(), baseline, attack);
 
     let mut report = Report::new(
         "fig1_overview",

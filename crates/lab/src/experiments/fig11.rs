@@ -11,7 +11,7 @@ use microsim::{Agent, Origin, Response, SimConfig, SimCtx};
 use simnet::{SegSamples, SimDuration, SimTime};
 
 use crate::report::fmt;
-use crate::{Fidelity, Report, Scenario};
+use crate::{sweep, Report, RunOpts, Scenario};
 
 /// A one-shot probing agent: sends a paced burst of `attacker` requests
 /// and `probes` delayed probes of `victim`, recording the probe RTs.
@@ -117,7 +117,8 @@ fn probe_once(
 }
 
 /// Runs the experiment.
-pub fn run(fidelity: Fidelity) -> Report {
+pub fn run(opts: &RunOpts) -> Report {
+    let fidelity = opts.fidelity;
     let users = fidelity.pick(7_000, 3_000);
     let scenario =
         Scenario::social_network("EC2", microsim::PlatformProfile::ec2(), users, 7_000, 0xF11);
@@ -145,7 +146,7 @@ pub fn run(fidelity: Fidelity) -> Report {
          ~40-70 ms baseline."
     ));
 
-    for (title, x, y) in [
+    let pairs = [
         (
             "parallel pair: burst compose-post, probe upload-media",
             a,
@@ -166,15 +167,22 @@ pub fn run(fidelity: Fidelity) -> Report {
             c,
             d,
         ),
-    ] {
+    ];
+    // One cell per (pair, volume); each probes a freshly warmed system.
+    let cells: Vec<(RequestTypeId, RequestTypeId, u32)> = pairs
+        .iter()
+        .flat_map(|&(_, x, y)| volumes.iter().map(move |&v| (x, y, v)))
+        .collect();
+    let rts = sweep::map_cells(opts.jobs, &cells, |_, &(x, y, v)| {
+        probe_once(&scenario, x, y, v)
+    });
+    for ((title, _, _), rts) in pairs.iter().zip(rts.chunks(volumes.len())) {
         let rows: Vec<Vec<String>> = volumes
             .iter()
-            .map(|&v| {
-                let rt = probe_once(&scenario, x, y, v);
-                vec![v.to_string(), fmt(rt, 1)]
-            })
+            .zip(rts)
+            .map(|(v, rt)| vec![v.to_string(), fmt(*rt, 1)])
             .collect();
-        report.heading(title);
+        report.heading(*title);
         report.table(&["burst volume (req)", "median probe RT (ms)"], rows);
     }
 

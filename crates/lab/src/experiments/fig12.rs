@@ -10,10 +10,11 @@ use simnet::{SimDuration, SimTime};
 use telemetry::{GroundTruth, ProfilerScore};
 
 use crate::report::fmt;
-use crate::{Fidelity, Report, Scenario};
+use crate::{Report, RunOpts, Scenario};
 
 /// Runs the experiment.
-pub fn run(fidelity: Fidelity) -> Report {
+pub fn run(opts: &RunOpts) -> Report {
+    let fidelity = opts.fidelity;
     let users = fidelity.pick(7_000, 3_000);
     let scenario =
         Scenario::social_network("EC2", microsim::PlatformProfile::ec2(), users, 7_000, 0xF12);

@@ -9,15 +9,10 @@ use simnet::SimDuration;
 use telemetry::{millibottleneck_stats, FineMonitor, LatencySeries, Traffic};
 
 use crate::report::fmt;
-use crate::{AttackRun, Fidelity, Report, RunOpts, Scenario};
+use crate::{AttackRun, Report, RunOpts, Scenario};
 
 /// Runs the experiment.
-pub fn run(fidelity: Fidelity) -> Report {
-    run_opts(RunOpts::new(fidelity))
-}
-
-/// Runs the experiment with full execution options.
-pub fn run_opts(opts: RunOpts) -> Report {
+pub fn run(opts: &RunOpts) -> Report {
     let fidelity = opts.fidelity;
     let baseline = fidelity.secs(60, 30);
     let attack = fidelity.secs(240, 120);
@@ -28,13 +23,7 @@ pub fn run_opts(opts: RunOpts) -> Report {
         12_000,
         0xF13,
     );
-    let run = AttackRun::execute_opts(
-        &scenario,
-        CampaignConfig::default(),
-        baseline,
-        attack,
-        opts.snapshots,
-    );
+    let run = AttackRun::execute(&scenario, CampaignConfig::default(), baseline, attack);
     let m = run.metrics();
     let topo = run.sim.topology();
     let fine = FineMonitor::new(m);

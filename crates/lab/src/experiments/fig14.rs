@@ -9,10 +9,11 @@ use simnet::{SimDuration, SimTime};
 use telemetry::CoarseMonitor;
 
 use crate::report::fmt;
-use crate::{Fidelity, Report, Scenario};
+use crate::{Report, RunOpts, Scenario};
 
 /// Runs the experiment.
-pub fn run(fidelity: Fidelity) -> Report {
+pub fn run(opts: &RunOpts) -> Report {
+    let fidelity = opts.fidelity;
     let attack = fidelity.secs(300, 120);
     let scenario = Scenario::social_network(
         "EC2-12K",

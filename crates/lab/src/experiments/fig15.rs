@@ -10,10 +10,11 @@ use telemetry::{CoarseMonitor, LatencySeries, Traffic};
 use workload::{PoissonSource, RateTrace};
 
 use crate::report::fmt;
-use crate::{Fidelity, Report, Scenario};
+use crate::{Report, RunOpts, Scenario};
 
 /// Runs the experiment.
-pub fn run(fidelity: Fidelity) -> Report {
+pub fn run(opts: &RunOpts) -> Report {
+    let fidelity = opts.fidelity;
     // Open-loop bursty workload between 1k and 6k req/s; the deployment is
     // provisioned for the mid-range and auto-scaling covers the peaks.
     let duration = fidelity.secs(1_200, 240);

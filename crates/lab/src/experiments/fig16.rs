@@ -8,10 +8,10 @@ use telemetry::{GroundTruth, ProfilerScore};
 use workload::ClosedLoopUsers;
 
 use crate::report::fmt;
-use crate::{Fidelity, Report};
+use crate::{sweep, Report, RunOpts};
 
 /// Profiles one app at one workload and scores against ground truth.
-fn profile_at(app: &UBench, users: usize, seed: u64) -> ProfilerScore {
+fn profile_at(label: &str, app: &UBench, users: usize, seed: u64) -> ProfilerScore {
     let mut sim = microsim::Simulation::new(
         app.topology().clone(),
         microsim::SimConfig::default().seed(seed).access_log(false),
@@ -34,7 +34,10 @@ fn profile_at(app: &UBench, users: usize, seed: u64) -> ProfilerScore {
         if sim.agent_as::<Profiler>(id).expect("registered").is_done() {
             break;
         }
-        assert!(sim.now() < SimTime::from_secs(4 * 3_600), "profiler stuck");
+        assert!(
+            sim.now() < SimTime::from_secs(4 * 3_600),
+            "profiler stuck on {label} at {users} baseline users (seed {seed:#x})"
+        );
     }
     let outcome = sim
         .agent_as::<Profiler>(id)
@@ -48,7 +51,8 @@ fn profile_at(app: &UBench, users: usize, seed: u64) -> ProfilerScore {
 }
 
 /// Runs the experiment.
-pub fn run(fidelity: Fidelity) -> Report {
+pub fn run(opts: &RunOpts) -> Report {
+    let fidelity = opts.fidelity;
     let mut report = Report::new(
         "fig16_accuracy",
         "Fig 16 — profiler accuracy vs baseline workload (three µBench apps)",
@@ -62,44 +66,50 @@ pub fn run(fidelity: Fidelity) -> Report {
          the moderate middle.",
     );
 
-    // (nominal users, app factory)
-    let apps: Vec<(&str, UBench, usize)> = {
-        let mut v = Vec::new();
-        let configs = fidelity.pick(
+    // (label, app, nominal users)
+    let apps: Vec<(&str, UBench, usize)> = fidelity
+        .pick(
             vec![
                 ("App.1 (62 svcs)", UBenchConfig::app1(4_000), 4_000),
                 ("App.2 (118 svcs)", UBenchConfig::app2(8_000), 8_000),
                 ("App.3 (196 svcs)", UBenchConfig::app3(16_000), 16_000),
             ],
             vec![("App.1 (62 svcs)", UBenchConfig::app1(4_000), 4_000)],
-        );
-        for (label, cfg, nominal) in configs {
-            v.push((label, UBench::generate(cfg), nominal));
-        }
-        v
-    };
+        )
+        .into_iter()
+        .map(|(label, cfg, nominal)| (label, UBench::generate(cfg), nominal))
+        .collect();
 
     let fractions: Vec<f64> = fidelity.pick(
         vec![0.125, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.8],
         vec![0.25, 1.0, 1.8],
     );
 
-    for (label, app, nominal) in &apps {
-        let rows: Vec<Vec<String>> = fractions
-            .iter()
-            .map(|f| {
-                let users = ((*nominal as f64) * f) as usize;
-                let score = profile_at(app, users, 0xF16 ^ users as u64);
-                vec![
-                    users.to_string(),
-                    fmt(score.precision(), 2),
-                    fmt(score.recall(), 2),
-                    fmt(score.f_score(), 2),
-                ]
-            })
-            .collect();
+    // One cell per (app, baseline load); every cell is self-seeded.
+    let cells: Vec<(&str, &UBench, usize)> = apps
+        .iter()
+        .flat_map(|(label, app, nominal)| {
+            fractions
+                .iter()
+                .map(move |f| (*label, app, ((*nominal as f64) * f) as usize))
+        })
+        .collect();
+    let rows = sweep::map_cells(opts.jobs, &cells, |_, (label, app, users)| {
+        let score = profile_at(label, app, *users, 0xF16 ^ *users as u64);
+        vec![
+            users.to_string(),
+            fmt(score.precision(), 2),
+            fmt(score.recall(), 2),
+            fmt(score.f_score(), 2),
+        ]
+    });
+    let mut rows = rows.into_iter();
+    for (label, _, _) in &apps {
         report.heading(*label);
-        report.table(&["baseline users", "precision", "recall", "F-score"], rows);
+        report.table(
+            &["baseline users", "precision", "recall", "F-score"],
+            rows.by_ref().take(fractions.len()).collect(),
+        );
     }
     report
 }

@@ -14,7 +14,7 @@ use simnet::SimTime;
 use workload::ClosedLoopUsers;
 
 use crate::report::fmt;
-use crate::{Fidelity, Report};
+use crate::{Report, RunOpts};
 
 /// Everything one mega-cell run is judged on.
 #[derive(Debug, Clone, Copy)]
@@ -66,7 +66,8 @@ pub fn run_cell(users: usize, horizon: SimTime, seed: u64) -> CellStats {
 }
 
 /// Runs the experiment.
-pub fn run(fidelity: Fidelity) -> Report {
+pub fn run(opts: &RunOpts) -> Report {
+    let fidelity = opts.fidelity;
     let mut report = Report::new(
         "megacell_population",
         "Mega-cell — 100k-user closed-loop population on the paper topology",

@@ -11,15 +11,10 @@ use grunt::CampaignConfig;
 use telemetry::GroundTruth;
 
 use crate::report::fmt;
-use crate::{AttackRun, Fidelity, Report, RunOpts, Scenario};
+use crate::{sweep, AttackRun, Report, RunOpts, Scenario};
 
 /// Runs the experiment.
-pub fn run(fidelity: Fidelity) -> Report {
-    run_opts(RunOpts::new(fidelity))
-}
-
-/// Runs the experiment with full execution options.
-pub fn run_opts(opts: RunOpts) -> Report {
+pub fn run(opts: &RunOpts) -> Report {
     let fidelity = opts.fidelity;
     let users = fidelity.pick(7_000, 3_000);
     let baseline = fidelity.secs(60, 30);
@@ -35,11 +30,11 @@ pub fn run_opts(opts: RunOpts) -> Report {
          non-frontend microservice is split into per-request-type instances."
     ));
 
-    let mut rows = Vec::new();
-    for (label, app) in [
+    let deployments = [
         ("shared (standard)", SocialNetwork::new(users)),
         ("decoupled (mitigated)", SocialNetwork::decoupled(users)),
-    ] {
+    ];
+    let rows = sweep::map_cells(opts.jobs, &deployments, |_, (label, app)| {
         let scenario = Scenario {
             label: label.to_string(),
             topology: app.topology().clone(),
@@ -48,17 +43,11 @@ pub fn run_opts(opts: RunOpts) -> Report {
             platform: microsim::PlatformProfile::ec2(),
             seed: 0x716A,
         };
-        let run = AttackRun::execute_opts(
-            &scenario,
-            CampaignConfig::default(),
-            baseline,
-            attack,
-            opts.snapshots,
-        );
+        let run = AttackRun::execute(&scenario, CampaignConfig::default(), baseline, attack);
         let base = run.baseline_latency();
         let att = run.attack_latency();
         let gt = GroundTruth::from_topology(app.topology());
-        rows.push(vec![
+        vec![
             label.to_string(),
             app.topology().num_services().to_string(),
             gt.groups().multi_member_groups().count().to_string(),
@@ -67,8 +56,8 @@ pub fn run_opts(opts: RunOpts) -> Report {
             fmt(att.avg_ms / base.avg_ms.max(1.0), 1),
             run.campaign.report.bursts.len().to_string(),
             run.campaign.report.requests_sent.to_string(),
-        ]);
-    }
+        ]
+    });
     report.table(
         &[
             "Deployment",

@@ -15,76 +15,34 @@ pub mod resilience;
 pub mod table1;
 pub mod table4;
 
-use crate::{Fidelity, Report, RunOpts};
+use crate::{Report, RunOpts};
 
-/// All experiment names, in a sensible execution order.
-pub const ALL: &[&str] = &[
-    "model_check",
-    "fig11",
-    "fig12",
-    "fig1",
-    "table1",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "table4",
-    "megacell",
-    "ablations",
-    "mitigation",
-    "resilience",
+/// An experiment's one entry point. Every runner returns byte-identical
+/// output for every `jobs` value in its [`RunOpts`]; only the wall clock
+/// changes.
+pub type Runner = fn(&RunOpts) -> Report;
+
+/// Every experiment as `(name, runner)`, in a sensible execution order.
+pub const ALL: &[(&str, Runner)] = &[
+    ("model_check", model_check::run),
+    ("fig11", fig11::run),
+    ("fig12", fig12::run),
+    ("fig1", fig1::run),
+    ("table1", table1::run),
+    ("fig13", fig13::run),
+    ("fig14", fig14::run),
+    ("fig15", fig15::run),
+    ("fig16", fig16::run),
+    ("table4", table4::run),
+    ("megacell", megacell::run),
+    ("ablations", ablations::run),
+    ("mitigation", mitigation::run),
+    ("resilience", resilience::run),
 ];
 
-/// Runs one experiment by name, serially.
-///
-/// # Panics
-///
-/// Panics on an unknown name (the CLI validates first).
-pub fn run(name: &str, fidelity: Fidelity) -> Report {
-    run_jobs(name, fidelity, 1)
-}
-
-/// Runs one experiment by name with up to `jobs` sweep cells in parallel.
-///
-/// The table sweeps (independent cells) fan out over `jobs` threads; the
-/// timeline experiments are single runs and ignore `jobs`. Output is
-/// byte-identical for every `jobs` value.
-///
-/// # Panics
-///
-/// Panics on an unknown name (the CLI validates first).
-pub fn run_jobs(name: &str, fidelity: Fidelity, jobs: usize) -> Report {
-    run_with(name, RunOpts::new(fidelity).jobs(jobs))
-}
-
-/// Runs one experiment by name with full execution options (fidelity,
-/// parallelism, warm-snapshot forking).
-///
-/// Every combination of options produces byte-identical output for a given
-/// fidelity — `jobs` and `snapshots` only change the wall clock.
-///
-/// # Panics
-///
-/// Panics on an unknown name (the CLI validates first).
-pub fn run_with(name: &str, opts: RunOpts) -> Report {
-    let fidelity = opts.fidelity;
-    match name {
-        "fig1" => fig1::run_opts(opts),
-        "table1" => table1::run_opts(opts),
-        "fig11" => fig11::run(fidelity),
-        "fig12" => fig12::run(fidelity),
-        "fig13" => fig13::run_opts(opts),
-        "fig14" => fig14::run(fidelity),
-        "fig15" => fig15::run(fidelity),
-        "fig16" => fig16::run(fidelity),
-        "table4" => table4::run_opts(opts),
-        "megacell" => megacell::run(fidelity),
-        "ablations" => ablations::run_opts(opts),
-        "mitigation" => mitigation::run_opts(opts),
-        "model_check" => model_check::run(fidelity),
-        "resilience" => resilience::run(fidelity),
-        other => panic!("unknown experiment {other:?}; known: {ALL:?}"),
-    }
+/// The runner registered under `name` in [`ALL`], if any.
+pub fn find(name: &str) -> Option<Runner> {
+    ALL.iter().find(|(n, _)| *n == name).map(|(_, run)| *run)
 }
 
 #[cfg(test)]
@@ -93,13 +51,15 @@ mod tests {
 
     #[test]
     fn all_names_are_unique_and_known() {
-        let set: std::collections::HashSet<_> = ALL.iter().collect();
+        let set: std::collections::HashSet<_> = ALL.iter().map(|(name, _)| name).collect();
         assert_eq!(set.len(), ALL.len(), "duplicate experiment names");
+        for (name, _) in ALL {
+            assert!(find(name).is_some(), "{name} not found");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "unknown experiment")]
-    fn unknown_name_panics() {
-        run("nonsense", Fidelity::Fast);
+    fn unknown_name_is_not_found() {
+        assert!(find("nonsense").is_none());
     }
 }

@@ -15,7 +15,7 @@ use simnet::{SimDuration, SimTime};
 use telemetry::find_millibottlenecks;
 
 use crate::report::fmt;
-use crate::{Fidelity, Report};
+use crate::{sweep, Report, RunOpts};
 
 /// Capacity of the test bottleneck (req/s): 1 core at 10 ms demand.
 const CAPACITY: f64 = 100.0;
@@ -80,7 +80,8 @@ fn measure(burst: BurstPlan, lambda: f64) -> (f64, f64) {
 }
 
 /// Runs the experiment.
-pub fn run(fidelity: Fidelity) -> Report {
+pub fn run(opts: &RunOpts) -> Report {
+    let fidelity = opts.fidelity;
     let mut report = Report::new(
         "model_check",
         "§III model validation — analytic equations vs simulator",
@@ -95,28 +96,32 @@ pub fn run(fidelity: Fidelity) -> Report {
     let lambdas = fidelity.pick(vec![0.0, 30.0, 60.0], vec![0.0, 60.0]);
     let lengths = fidelity.pick(vec![0.1, 0.2, 0.4, 0.6], vec![0.2, 0.4]);
 
+    let cells: Vec<(f64, f64)> = lambdas
+        .iter()
+        .flat_map(|&lambda| lengths.iter().map(move |&length| (lambda, length)))
+        .collect();
+    let measured = sweep::map_cells(opts.jobs, &cells, |_, &(lambda, length)| {
+        let burst = BurstPlan::new(300.0, length);
+        (burst, measure(burst, lambda))
+    });
     let mut rows = Vec::new();
     let mut pmb_points: Vec<(f64, f64)> = Vec::new();
-    for &lambda in &lambdas {
-        for &length in &lengths {
-            let burst = BurstPlan::new(300.0, length);
-            let q_pred = execution_queue(burst, lambda, CAPACITY);
-            let damage_pred = damage_latency(q_pred, CAPACITY);
-            let pmb_pred = millibottleneck_length(burst, CAPACITY, lambda, CAPACITY);
-            let (pmb_meas, damage_meas) = measure(burst, lambda);
-            if lambda == lambdas[0] {
-                pmb_points.push((length, pmb_meas));
-            }
-            rows.push(vec![
-                fmt(lambda, 0),
-                fmt(length, 1),
-                fmt(q_pred, 0),
-                fmt(damage_pred * 1e3, 0),
-                fmt(damage_meas * 1e3, 0),
-                fmt(pmb_pred * 1e3, 0),
-                fmt(pmb_meas * 1e3, 0),
-            ]);
+    for (&(lambda, length), &(burst, (pmb_meas, damage_meas))) in cells.iter().zip(&measured) {
+        let q_pred = execution_queue(burst, lambda, CAPACITY);
+        let damage_pred = damage_latency(q_pred, CAPACITY);
+        let pmb_pred = millibottleneck_length(burst, CAPACITY, lambda, CAPACITY);
+        if lambda == lambdas[0] {
+            pmb_points.push((length, pmb_meas));
         }
+        rows.push(vec![
+            fmt(lambda, 0),
+            fmt(length, 1),
+            fmt(q_pred, 0),
+            fmt(damage_pred * 1e3, 0),
+            fmt(damage_meas * 1e3, 0),
+            fmt(pmb_pred * 1e3, 0),
+            fmt(pmb_meas * 1e3, 0),
+        ]);
     }
     report.table(
         &[

@@ -20,7 +20,7 @@ use workload::ClosedLoopUsers;
 
 use crate::report::fmt;
 use crate::scenario::WARMUP;
-use crate::{Fidelity, Report};
+use crate::{sweep, Report, RunOpts};
 
 /// Probability an emulated user re-issues a failed request after a fresh
 /// think time (identical across cells, so goodput differences come from
@@ -159,7 +159,8 @@ pub fn run_cell(
 }
 
 /// Runs the experiment.
-pub fn run(fidelity: Fidelity) -> Report {
+pub fn run(opts: &RunOpts) -> Report {
+    let fidelity = opts.fidelity;
     let users = fidelity.pick(5_000, 2_000);
     let baseline = fidelity.secs(60, 30);
     let attack = fidelity.secs(300, 90);
@@ -177,10 +178,15 @@ pub fn run(fidelity: Fidelity) -> Report {
          backoff, 10% jitter). Goodput counts only successful legitimate completions."
     ));
 
-    let mut rows = Vec::new();
-    for (i, cell) in cells().into_iter().enumerate() {
-        let s = run_cell(users, cell.config, baseline, attack, 0x5E51 + i as u64);
-        rows.push(vec![
+    let rows = sweep::map_cells(opts.jobs, &cells(), |i, cell| {
+        let s = run_cell(
+            users,
+            cell.config.clone(),
+            baseline,
+            attack,
+            0x5E51 + i as u64,
+        );
+        vec![
             cell.label.to_string(),
             fmt(s.base_goodput, 0),
             fmt(s.attack_goodput, 0),
@@ -192,8 +198,8 @@ pub fn run(fidelity: Fidelity) -> Report {
             fmt(s.amplification, 2),
             s.user_retries.to_string(),
             s.abandoned.to_string(),
-        ]);
-    }
+        ]
+    });
     report.table(
         &[
             "Config",

@@ -7,6 +7,7 @@
 
 use grunt::CampaignConfig;
 use microsim::PlatformProfile;
+use simnet::SimDuration;
 
 use crate::report::fmt;
 use crate::{sweep, AttackRun, Fidelity, Report, RunOpts, Scenario, WarmProfiled};
@@ -15,12 +16,11 @@ use crate::{sweep, AttackRun, Fidelity, Report, RunOpts, Scenario, WarmProfiled}
 pub type Setting = (String, PlatformProfile, usize, usize);
 
 /// The two table rows a cell produces.
-#[derive(Debug)]
-pub struct CellRows {
+struct CellRows {
     /// Table I row (user-perceived damage).
-    pub row1: Vec<String>,
+    row1: Vec<String>,
     /// Table III row (attacker-side parameters).
-    pub row3: Vec<String>,
+    row3: Vec<String>,
 }
 
 /// The six paper settings: (label, platform, users, provisioned-for).
@@ -46,41 +46,30 @@ pub fn settings() -> Vec<Setting> {
     ]
 }
 
-/// Runs one cell: full profile + attack campaign on a fresh, per-cell
-/// seeded simulation. Cells are independent, so the sweep executor can run
+/// Runs one cell: full profile + attack campaign straight through on a
+/// fresh, per-cell seeded simulation. Cells share no prefix, so there is
+/// nothing to fork; they are independent, so the sweep executor can run
 /// them on separate threads without changing any cell's result.
-pub fn run_cell(
-    setting: &Setting,
-    baseline: simnet::SimDuration,
-    attack: simnet::SimDuration,
-) -> CellRows {
-    run_cell_opts(setting, baseline, attack, true)
+fn run_cell(setting: &Setting, baseline: SimDuration, attack: SimDuration) -> CellRows {
+    let scenario = scenario(setting);
+    let run = AttackRun::execute(&scenario, CampaignConfig::default(), baseline, attack);
+    rows_for(&setting.0, &run)
 }
 
-/// [`run_cell`] with an explicit warm-snapshot switch (both paths produce
-/// byte-identical rows; see `tests/determinism.rs`).
-pub fn run_cell_opts(
-    setting: &Setting,
-    baseline: simnet::SimDuration,
-    attack: simnet::SimDuration,
-    snapshots: bool,
-) -> CellRows {
-    let (label, platform, users, provision) = setting;
-    let scenario = Scenario::social_network(
+/// The cell's SocialNetwork deployment, seeded by its user count.
+fn scenario((label, platform, users, provision): &Setting) -> Scenario {
+    Scenario::social_network(
         label,
         platform.clone(),
         *users,
         *provision,
         0x7AB1 ^ *users as u64,
-    );
-    let run = AttackRun::execute_opts(
-        &scenario,
-        CampaignConfig::default(),
-        baseline,
-        attack,
-        snapshots,
-    );
-    rows_for(label, &run)
+    )
+}
+
+/// Baseline and attack window lengths shared by every Table I cell.
+fn windows(fidelity: Fidelity) -> (SimDuration, SimDuration) {
+    (fidelity.secs(120, 40), fidelity.secs(1_200, 180))
 }
 
 fn rows_for(label: &str, run: &AttackRun) -> CellRows {
@@ -113,34 +102,16 @@ fn rows_for(label: &str, run: &AttackRun) -> CellRows {
     }
 }
 
-/// Runs the experiment serially.
-pub fn run(fidelity: Fidelity) -> Report {
-    run_jobs(fidelity, 1)
-}
-
-/// Runs the experiment with up to `jobs` cells in parallel.
-pub fn run_jobs(fidelity: Fidelity, jobs: usize) -> Report {
-    report_for(&settings(), fidelity, jobs)
-}
-
-/// Runs the experiment with full execution options.
-pub fn run_opts(opts: RunOpts) -> Report {
-    report_for_opts(&settings(), opts)
+/// Runs the experiment.
+pub fn run(opts: &RunOpts) -> Report {
+    report_for(&settings(), opts)
 }
 
 /// Builds the Tables I & III report for an arbitrary settings slice —
 /// the determinism test runs a two-cell slice both serially and in
 /// parallel and compares the rendered reports byte for byte.
-pub fn report_for(settings: &[Setting], fidelity: Fidelity, jobs: usize) -> Report {
-    report_for_opts(settings, RunOpts::new(fidelity).jobs(jobs))
-}
-
-/// [`report_for`] with full execution options.
-pub fn report_for_opts(settings: &[Setting], opts: RunOpts) -> Report {
-    let fidelity = opts.fidelity;
-    let baseline = fidelity.secs(120, 40);
-    let attack = fidelity.secs(1_200, 180);
-
+pub fn report_for(settings: &[Setting], opts: &RunOpts) -> Report {
+    let (baseline, attack) = windows(opts.fidelity);
     let mut report = Report::new(
         "table1_damage",
         "Tables I & III — Grunt damage across cloud settings",
@@ -151,9 +122,7 @@ pub fn report_for_opts(settings: &[Setting], opts: RunOpts) -> Report {
          `Att.` the attack window (20 s ramp excluded)."
     ));
 
-    let cells = sweep::map_cells(opts.jobs, settings, |_, s| {
-        run_cell_opts(s, baseline, attack, opts.snapshots)
-    });
+    let cells = sweep::map_cells(opts.jobs, settings, |_, s| run_cell(s, baseline, attack));
     let mut rows1 = Vec::with_capacity(cells.len());
     let mut rows3 = Vec::with_capacity(cells.len());
     for cell in cells {
@@ -199,26 +168,32 @@ pub const PARAM_SWEEP_GOALS: [f64; 4] = [600.0, 800.0, 1_000.0, 1_200.0];
 /// differ only in the damage goal.
 ///
 /// All four cells share an identical warm-up + baseline + profiling
-/// prefix. With `opts.snapshots` that prefix is simulated once and frozen
-/// as a [`WarmProfiled`]; each cell (on whichever worker thread claims it)
-/// forks the shared snapshot and simulates only its attack window. Without
-/// snapshots every cell re-simulates the prefix cold. Both paths emit
-/// byte-identical reports; `bench_kernel` times them and records the
-/// speedup in BENCH_kernel.json.
-pub fn param_sweep_report(opts: RunOpts) -> Report {
-    let fidelity = opts.fidelity;
-    let baseline = fidelity.secs(120, 40);
-    let attack = fidelity.secs(1_200, 180);
-    let (label, platform, users, provision) = &settings()[0];
-    let scenario = Scenario::social_network(
-        label,
-        platform.clone(),
-        *users,
-        *provision,
-        0x7AB1 ^ *users as u64,
+/// prefix, which is simulated once and frozen as a [`WarmProfiled`]; each
+/// cell (on whichever worker thread claims it) forks the shared snapshot
+/// and simulates only its attack window.
+pub fn param_sweep_report(opts: &RunOpts) -> Report {
+    let (baseline, _) = windows(opts.fidelity);
+    let warm = WarmProfiled::new(
+        &scenario(&settings()[0]),
+        CampaignConfig::default().profiler,
+        baseline,
     );
-    let config = CampaignConfig::default();
+    param_sweep_report_with(opts, |_, config, _, attack| {
+        AttackRun::forked(&warm, config.commander, attack)
+    })
+}
 
+/// Renders the damage-goal sweep with each cell's run produced by
+/// `run_cell(scenario, config, baseline, attack)`, where `config` is the
+/// default campaign with that cell's damage goal. `bench_kernel` passes
+/// the cold oracle [`AttackRun::execute`] here and checks that the report
+/// matches [`param_sweep_report`] byte for byte.
+pub fn param_sweep_report_with<F>(opts: &RunOpts, run_cell: F) -> Report
+where
+    F: Fn(&Scenario, CampaignConfig, SimDuration, SimDuration) -> AttackRun + Sync,
+{
+    let (baseline, attack) = windows(opts.fidelity);
+    let ec2_7k = scenario(&settings()[0]);
     let mut report = Report::new(
         "table1_param_sweep",
         "Table I slice — damage-goal sweep on EC2-7K",
@@ -230,44 +205,27 @@ pub fn param_sweep_report(opts: RunOpts) -> Report {
         PARAM_SWEEP_GOALS.len(),
         attack
     ));
-
-    let row = |goal: f64, run: &AttackRun| {
+    let rows = sweep::map_cells(opts.jobs, &PARAM_SWEEP_GOALS, |_, goal| {
+        let defaults = CampaignConfig::default();
+        let config = CampaignConfig {
+            commander: grunt::CommanderConfig {
+                damage_goal_ms: *goal,
+                ..defaults.commander
+            },
+            ..defaults
+        };
+        let run = run_cell(&ec2_7k, config, baseline, attack);
         let base = run.baseline_latency();
         let att = run.attack_latency();
         vec![
-            fmt(goal, 0),
+            fmt(*goal, 0),
             run.campaign.bots_used.to_string(),
             fmt(run.mean_pmb_ms(), 0),
             fmt(base.avg_ms, 0),
             fmt(att.avg_ms, 0),
             fmt(att.avg_ms / base.avg_ms.max(1.0), 1),
         ]
-    };
-    let rows: Vec<Vec<String>> = if opts.snapshots {
-        let warm = WarmProfiled::new(&scenario, config.profiler.clone(), baseline);
-        sweep::map_cells(opts.jobs, &PARAM_SWEEP_GOALS, |_, goal| {
-            let commander = grunt::CommanderConfig {
-                damage_goal_ms: *goal,
-                ..config.commander.clone()
-            };
-            row(*goal, &AttackRun::forked(&warm, commander, attack))
-        })
-    } else {
-        sweep::map_cells(opts.jobs, &PARAM_SWEEP_GOALS, |_, goal| {
-            let cell_config = CampaignConfig {
-                commander: grunt::CommanderConfig {
-                    damage_goal_ms: *goal,
-                    ..config.commander.clone()
-                },
-                ..config.clone()
-            };
-            row(
-                *goal,
-                &AttackRun::execute_opts(&scenario, cell_config, baseline, attack, false),
-            )
-        })
-    };
-
+    });
     report.table(
         &[
             "Damage goal (ms)",

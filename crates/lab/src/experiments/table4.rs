@@ -9,7 +9,7 @@ use telemetry::{LatencySummary, Traffic};
 use workload::ClosedLoopUsers;
 
 use crate::report::fmt;
-use crate::{sweep, Fidelity, Report, RunOpts};
+use crate::{sweep, Report, RunOpts};
 
 struct Outcome {
     pmb_ms: f64,
@@ -20,13 +20,7 @@ struct Outcome {
     cpu_att: f64,
 }
 
-fn attack_app(
-    app: &UBench,
-    users: usize,
-    attack: SimDuration,
-    seed: u64,
-    snapshots: bool,
-) -> Outcome {
+fn attack_app(app: &UBench, users: usize, attack: SimDuration, seed: u64) -> Outcome {
     let mut sim = Simulation::new(
         app.topology().clone(),
         microsim::SimConfig::default().seed(seed),
@@ -42,20 +36,7 @@ fn attack_app(
     let base_to = sim.now();
     let config = CampaignConfig::default();
     let pacing = config.commander.burst_length.as_millis_f64();
-    // Cells differ in app *and* workload, so there is no warm prefix to
-    // share; with snapshots on the attack still runs on a checkpoint fork
-    // so the µBench apps exercise the snapshot path too (byte-identical to
-    // running straight through).
-    let campaign = if snapshots {
-        let profile = grunt::GruntCampaign::profile(&mut sim, config.profiler);
-        let snapshot = sim
-            .checkpoint()
-            .expect("µBench agents support snapshotting");
-        sim = Simulation::from_snapshot(&snapshot);
-        grunt::GruntCampaign::attack_with(&mut sim, profile, config.commander, attack)
-    } else {
-        grunt::GruntCampaign::run(&mut sim, config, attack)
-    };
+    let campaign = grunt::GruntCampaign::run(&mut sim, config, attack);
     let a0 = campaign.attack_started + SimDuration::from_secs(20).min(attack / 4);
     let a1 = campaign.attack_started + attack;
 
@@ -95,20 +76,10 @@ fn attack_app(
     }
 }
 
-/// Runs the experiment serially.
-pub fn run(fidelity: Fidelity) -> Report {
-    run_jobs(fidelity, 1)
-}
-
-/// Runs the experiment with up to `jobs` cells in parallel. Each cell
-/// regenerates its µBench app and simulation from per-cell seeds, so cells
-/// are independent and the row order is fixed by the settings order.
-pub fn run_jobs(fidelity: Fidelity, jobs: usize) -> Report {
-    run_opts(RunOpts::new(fidelity).jobs(jobs))
-}
-
-/// Runs the experiment with full execution options.
-pub fn run_opts(opts: RunOpts) -> Report {
+/// Runs the experiment. Each cell regenerates its µBench app and
+/// simulation from per-cell seeds, so cells are independent and the row
+/// order is fixed by the settings order.
+pub fn run(opts: &RunOpts) -> Report {
     let fidelity = opts.fidelity;
     let attack = fidelity.secs(1_200, 150);
     let mut report = Report::new(
@@ -139,7 +110,7 @@ pub fn run_opts(opts: RunOpts) -> Report {
 
     let rows = sweep::map_cells(opts.jobs, &settings, |_, (label, cfg, users)| {
         let app = UBench::generate(*cfg);
-        let o = attack_app(&app, *users, attack, 0x7AB4 ^ *users as u64, opts.snapshots);
+        let o = attack_app(&app, *users, attack, 0x7AB4 ^ *users as u64);
         vec![
             label.to_string(),
             fmt(o.pmb_ms, 0),

@@ -16,6 +16,9 @@
 //! | [`experiments::table4`] | Table IV — live attacks on µBench apps |
 //! | [`experiments::ablations`] | §VII — Tail attack / brute force comparison |
 //! | [`experiments::model_check`] | §III — analytic model vs simulator |
+//! | [`experiments::megacell`] | 100k-user closed-loop population cell |
+//! | [`experiments::mitigation`] | §VI — reduce hotspot sharing |
+//! | [`experiments::resilience`] | Grunt vs deadlines, retries, breakers, shedding |
 //!
 //! Run them through the `lab` binary:
 //!
@@ -24,8 +27,11 @@
 //! cargo run --release -p lab --bin lab -- table1
 //! ```
 //!
-//! Every runner returns a markdown [`report::Report`] and writes it under
-//! `results/`.
+//! Every runner has the one signature `fn run(&RunOpts) -> Report` and is
+//! listed in [`experiments::ALL`]; the `lab` binary writes the returned
+//! markdown [`report::Report`] under `results/`. Multi-cell experiments
+//! sweep their cells through [`sweep::map_cells`], so `--jobs` applies to
+//! every one of them.
 
 pub mod experiments;
 pub mod report;
@@ -35,46 +41,25 @@ pub mod sweep;
 pub use report::Report;
 pub use scenario::{AttackRun, Scenario, WarmBase, WarmProfiled};
 
-/// How to execute experiments: duration scaling, sweep parallelism, and
-/// whether sweep cells fork from shared warm snapshots.
+/// How to execute experiments: duration scaling and sweep parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOpts {
     /// Duration scaling.
     pub fidelity: Fidelity,
     /// Max sweep cells in flight (see [`sweep::map_cells`]).
     pub jobs: usize,
-    /// Fork cells from shared warm snapshots (default). Disabling
-    /// (`lab --no-snapshot`) re-simulates every cell's warm-up prefix
-    /// inline; output is byte-identical either way.
-    pub snapshots: bool,
 }
 
 impl RunOpts {
-    /// Serial, snapshot-forking run at the given fidelity.
+    /// Serial run at the given fidelity.
     pub fn new(fidelity: Fidelity) -> Self {
-        RunOpts {
-            fidelity,
-            jobs: 1,
-            snapshots: true,
-        }
+        RunOpts { fidelity, jobs: 1 }
     }
 
     /// Sets the worker count.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
         self
-    }
-
-    /// Enables or disables warm-snapshot forking.
-    pub fn snapshots(mut self, on: bool) -> Self {
-        self.snapshots = on;
-        self
-    }
-}
-
-impl Default for RunOpts {
-    fn default() -> Self {
-        RunOpts::new(Fidelity::Full)
     }
 }
 

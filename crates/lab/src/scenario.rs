@@ -189,35 +189,17 @@ pub struct AttackRun {
 
 impl AttackRun {
     /// Runs warm-up, baseline measurement, Grunt profiling and the attack
-    /// window, forking from a warm snapshot by default (byte-identical to
-    /// the cold path; see [`AttackRun::execute_opts`]).
+    /// window straight through on one simulation.
+    ///
+    /// This is the reference oracle for [`AttackRun::forked`]: a run forked
+    /// from a [`WarmProfiled`] built with the same scenario, profiler and
+    /// baseline is byte-identical to it (asserted in `tests/determinism.rs`).
     pub fn execute(
         scenario: &Scenario,
         config: CampaignConfig,
         baseline: SimDuration,
         attack: SimDuration,
     ) -> AttackRun {
-        Self::execute_opts(scenario, config, baseline, attack, true)
-    }
-
-    /// [`AttackRun::execute`] with an explicit snapshot switch.
-    ///
-    /// With `snapshots` the prefix (warm-up, baseline, profiling) runs via
-    /// [`WarmProfiled`] and the attack runs on a fork; without, everything
-    /// runs inline on one simulation (`lab --no-snapshot`, for debugging
-    /// the snapshot path itself). Both paths produce byte-identical
-    /// results — `tests/determinism.rs` asserts it.
-    pub fn execute_opts(
-        scenario: &Scenario,
-        config: CampaignConfig,
-        baseline: SimDuration,
-        attack: SimDuration,
-        snapshots: bool,
-    ) -> AttackRun {
-        if snapshots {
-            let warm = WarmProfiled::new(scenario, config.profiler, baseline);
-            return Self::forked(&warm, config.commander, attack);
-        }
         let pacing = config.commander.burst_length;
         let mut sim = scenario.build();
         sim.run_until(SimTime::ZERO + WARMUP);
@@ -225,19 +207,14 @@ impl AttackRun {
         sim.run_until(base_from + baseline);
         let base_to = sim.now();
         let campaign = GruntCampaign::run(&mut sim, config, attack);
-        let ramp = SimDuration::from_secs(20).min(attack / 4);
-        let attack_window = (
-            campaign.attack_started + ramp,
-            campaign.attack_started + attack,
-        );
-        AttackRun {
-            label: scenario.label.clone(),
+        Self::measured(
+            scenario.label.clone(),
             sim,
             campaign,
-            baseline_window: (base_from, base_to),
-            attack_window,
+            (base_from, base_to),
+            attack,
             pacing,
-        }
+        )
     }
 
     /// Forks the profiled warm state and runs just the attack window with
@@ -248,16 +225,36 @@ impl AttackRun {
         let mut sim = warm.fork();
         let campaign =
             GruntCampaign::attack_with(&mut sim, warm.profile.clone(), commander, attack);
+        Self::measured(
+            warm.label.clone(),
+            sim,
+            campaign,
+            warm.baseline_window,
+            attack,
+            pacing,
+        )
+    }
+
+    /// Wraps a finished campaign; the attack window skips a ramp of 20 s
+    /// (at most a quarter of the attack).
+    fn measured(
+        label: String,
+        sim: Simulation,
+        campaign: GruntCampaign,
+        baseline_window: (SimTime, SimTime),
+        attack: SimDuration,
+        pacing: SimDuration,
+    ) -> Self {
         let ramp = SimDuration::from_secs(20).min(attack / 4);
         let attack_window = (
             campaign.attack_started + ramp,
             campaign.attack_started + attack,
         );
         AttackRun {
-            label: warm.label.clone(),
+            label,
             sim,
             campaign,
-            baseline_window: warm.baseline_window,
+            baseline_window,
             attack_window,
             pacing,
         }

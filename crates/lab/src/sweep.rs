@@ -75,19 +75,6 @@ where
         .collect()
 }
 
-/// The default worker count: `LAB_JOBS` if set to a positive integer,
-/// otherwise 1 (serial). Parallel sweeps are opt-in via `lab --jobs N` so
-/// that plain invocations keep the familiar serial timing profile.
-pub fn default_jobs() -> usize {
-    // Worker-count selection only: any jobs value yields byte-identical
-    // reports (the determinism test asserts it). simlint: allow(nondet-source)
-    std::env::var("LAB_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
 /// A reasonable `--jobs auto` value: the machine's available parallelism,
 /// with an explicit serial fallback on single-CPU hosts — see
 /// [`auto_jobs_with`].

@@ -5,8 +5,8 @@
 //! replicas, thread-pool occupancy, in-flight jobs and spans, metric
 //! windows, RNG streams) and the state of every registered agent. Forking a
 //! snapshot yields a [`Simulation`](crate::Simulation) whose subsequent
-//! history is **bit-identical** to the original's: snapshots are exact deep
-//! copies of the mutable state, while the large immutable parts (topology,
+//! history is **bit-identical** to the original's: a snapshot is an exact deep
+//! copy of the mutable state, while the large immutable parts (topology,
 //! execution paths, config) are shared via `Arc`, so cloning a snapshot per
 //! sweep cell — or per worker thread — is cheap.
 //!

@@ -229,7 +229,7 @@ impl BrowsingModel {
 #[derive(Debug)]
 pub struct ClosedLoopUsers {
     /// Immutable model shared by reference across forks (alias tables for
-    /// a large catalogue are not worth copying 100k-user snapshots over).
+    /// a large catalogue are not worth copying into every 100k-user snapshot).
     model: Arc<BrowsingModel>,
     think_mean_s: f64,
     /// Flat user slab: current Markov state per slot.

@@ -106,13 +106,13 @@ fn disabled_resilience_is_byte_identical_to_no_resilience() {
     );
 }
 
-/// A warm-snapshot forked run is byte-identical to a cold run: the same
-/// campaign executed with and without snapshot forking must agree on the
-/// full request timeline, every recorded metric, the attack schedule and
-/// the final RNG stream positions.
+/// A warm-snapshot forked run is byte-identical to a cold run: a campaign
+/// forked from a `WarmProfiled` and the straight-through oracle
+/// `AttackRun::execute` must agree on the full request timeline, every
+/// recorded metric, the attack schedule and the final RNG stream positions.
 #[test]
 fn warm_fork_is_byte_identical_to_cold() {
-    use lab::{AttackRun, Scenario};
+    use lab::{AttackRun, Scenario, WarmProfiled};
 
     let scenario = Scenario::social_network(
         "fork-test",
@@ -125,8 +125,9 @@ fn warm_fork_is_byte_identical_to_cold() {
     let attack = SimDuration::from_secs(60);
     let config = CampaignConfig::default;
 
-    let forked = AttackRun::execute_opts(&scenario, config(), baseline, attack, true);
-    let cold = AttackRun::execute_opts(&scenario, config(), baseline, attack, false);
+    let warm = WarmProfiled::new(&scenario, config().profiler, baseline);
+    let forked = AttackRun::forked(&warm, config().commander, attack);
+    let cold = AttackRun::execute(&scenario, config(), baseline, attack);
 
     assert_eq!(
         forked.sim.metrics(),
@@ -161,7 +162,7 @@ fn warm_fork_is_byte_identical_to_cold() {
 #[test]
 fn indexed_defense_analytics_are_fork_invariant() {
     use defense::{Ids, IdsConfig, RateShield};
-    use lab::{AttackRun, Scenario};
+    use lab::{AttackRun, Scenario, WarmProfiled};
 
     let scenario = Scenario::social_network(
         "defense-fork-test",
@@ -172,15 +173,10 @@ fn indexed_defense_analytics_are_fork_invariant() {
     );
     let baseline = SimDuration::from_secs(20);
     let attack = SimDuration::from_secs(60);
-    let forked =
-        AttackRun::execute_opts(&scenario, CampaignConfig::default(), baseline, attack, true);
-    let cold = AttackRun::execute_opts(
-        &scenario,
-        CampaignConfig::default(),
-        baseline,
-        attack,
-        false,
-    );
+    let config = CampaignConfig::default;
+    let warm = WarmProfiled::new(&scenario, config().profiler, baseline);
+    let forked = AttackRun::forked(&warm, config().commander, attack);
+    let cold = AttackRun::execute(&scenario, config(), baseline, attack);
 
     let ids = Ids::new(IdsConfig::default());
     let shield = RateShield::paper_default();
@@ -249,7 +245,7 @@ fn shared_profiled_fork_matches_dedicated_cold_runs() {
             commander,
             ..CampaignConfig::default()
         };
-        let cold = AttackRun::execute_opts(&scenario, config, baseline, attack, false);
+        let cold = AttackRun::execute(&scenario, config, baseline, attack);
         assert_eq!(
             forked.sim.metrics(),
             cold.sim.metrics(),
@@ -268,39 +264,47 @@ fn shared_profiled_fork_matches_dedicated_cold_runs() {
 }
 
 /// The parallel sweep executor reproduces the serial path byte for byte:
-/// a two-cell Table I slice rendered with `jobs = 1`, `2` and `4` must
-/// yield identical markdown and CSV artifacts, because every cell is a
-/// self-seeded single-threaded simulation and rows are collected in cell
-/// order.
+/// a two-cell Table I slice and the whole `model_check` experiment, each
+/// rendered with `jobs = 1`, `2` and `4`, must yield identical markdown and
+/// CSV artifacts, because every cell is a self-seeded single-threaded
+/// simulation and rows are collected in cell order.
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
-    use lab::experiments::table1;
-    use lab::Fidelity;
+    use lab::experiments::{model_check, table1};
+    use lab::{Fidelity, Report, RunOpts};
+
+    // `run` at jobs 2 and 4 must render exactly what it renders serially,
+    // and the serial rendering must contain every marker.
+    fn check(name: &str, run: &dyn Fn(&RunOpts) -> Report, markers: &[&str]) {
+        let serial = run(&RunOpts::new(Fidelity::Fast));
+        let serial_md = serial.to_markdown();
+        let serial_csv = serial.csv_exports();
+        for marker in markers {
+            assert!(serial_md.contains(marker), "{name}: {marker:?} missing");
+        }
+        for jobs in [2, 4] {
+            let parallel = run(&RunOpts::new(Fidelity::Fast).jobs(jobs));
+            assert_eq!(
+                parallel.to_markdown(),
+                serial_md,
+                "{name}: markdown differs at jobs={jobs}"
+            );
+            assert_eq!(
+                parallel.csv_exports(),
+                serial_csv,
+                "{name}: CSV differs at jobs={jobs}"
+            );
+        }
+    }
 
     let settings: Vec<table1::Setting> = table1::settings().into_iter().take(2).collect();
     assert_eq!(settings.len(), 2, "need a two-cell slice");
-
-    let serial = table1::report_for(&settings, Fidelity::Fast, 1);
-    let serial_md = serial.to_markdown();
-    let serial_csv = serial.csv_exports();
-    assert!(
-        serial_md.contains(&settings[0].0) && serial_md.contains(&settings[1].0),
-        "slice labels missing from the report"
+    check(
+        "table1 slice",
+        &|opts| table1::report_for(&settings, opts),
+        &[&settings[0].0, &settings[1].0],
     );
-
-    for jobs in [2, 4] {
-        let parallel = table1::report_for(&settings, Fidelity::Fast, jobs);
-        assert_eq!(
-            parallel.to_markdown(),
-            serial_md,
-            "markdown differs at jobs={jobs}"
-        );
-        assert_eq!(
-            parallel.csv_exports(),
-            serial_csv,
-            "CSV differs at jobs={jobs}"
-        );
-    }
+    check("model_check", &model_check::run, &["P_MB meas", "slope"]);
 }
 
 /// The flat-arena population engine is byte-identical to its retained
