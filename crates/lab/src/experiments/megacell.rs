@@ -127,7 +127,7 @@ pub fn run(opts: &RunOpts) -> Report {
 mod tests {
     use super::*;
 
-    /// The acceptance criterion at full population, debug-feasible horizon:
+    /// The acceptance check at full population, debug-feasible horizon:
     /// a 100k-user cell runs to completion and the wheel carries O(think
     /// buckets) events — under 10k — not O(users).
     #[test]

@@ -508,8 +508,7 @@ struct NaiveUser {
 /// engine replaced: a token→user `HashMap` for outstanding requests, a
 /// `BTreeMap` of think buckets (allocating a `Vec` per bucket), and
 /// per-call RNG draws. `tests/determinism.rs` pins the two populations
-/// byte-for-byte on paper-scale cells, and `bench_kernel`'s
-/// `large_population` section reports the engine's speedup over this twin.
+/// byte-for-byte on paper-scale cells and on one 100k-user cell.
 #[derive(Debug, Clone)]
 pub struct ClosedLoopUsersNaive {
     model: BrowsingModel,

@@ -318,44 +318,85 @@ mod population_twin {
     use proptest::prelude::*;
     use workload::ClosedLoopUsersNaive;
 
-    fn run_cell(users: usize, seed: u64, think_s: f64, naive: bool) -> Simulation {
-        let app = social_network(users);
-        let mut sim = Simulation::new(app.topology().clone(), SimConfig::default().seed(seed));
+    /// One population cell; `think_s: None` keeps the default think time.
+    struct Cell {
+        users: usize,
+        config: SimConfig,
+        pop_seed: u64,
+        think_s: Option<f64>,
+        horizon: SimTime,
+    }
+
+    fn run_cell(cell: &Cell, naive: bool) -> Simulation {
+        let app = social_network(cell.users);
+        let mut sim = Simulation::new(app.topology().clone(), cell.config.clone());
         if naive {
-            sim.add_agent(Box::new(
-                ClosedLoopUsersNaive::new(users, app.browsing_model(), seed ^ 0xABCD)
-                    .with_think_time(think_s),
-            ));
+            let mut users =
+                ClosedLoopUsersNaive::new(cell.users, app.browsing_model(), cell.pop_seed);
+            if let Some(think_s) = cell.think_s {
+                users = users.with_think_time(think_s);
+            }
+            sim.add_agent(Box::new(users));
         } else {
-            sim.add_agent(Box::new(
-                ClosedLoopUsers::new(users, app.browsing_model(), seed ^ 0xABCD)
-                    .with_think_time(think_s),
-            ));
+            let mut users = ClosedLoopUsers::new(cell.users, app.browsing_model(), cell.pop_seed);
+            if let Some(think_s) = cell.think_s {
+                users = users.with_think_time(think_s);
+            }
+            sim.add_agent(Box::new(users));
         }
-        sim.run_until(SimTime::from_secs(10));
+        sim.run_until(cell.horizon);
         sim
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(5))]
+    #[test]
+    fn flat_arena_engine_matches_naive_twin() {
+        // Fixed input: a 100k-user mega-cell under the `megacell` seed
+        // derivation, at the debug-feasible horizon of `lab`'s megacell
+        // test, with the default think time.
+        let mega = Cell {
+            users: 100_000,
+            config: SimConfig::default().seed(0xCE11).access_log(false),
+            pop_seed: simnet::derive_seed(0xCE11, "bench/megacell"),
+            think_s: None,
+            horizon: SimTime::from_secs(4),
+        };
+        let (fast, naive) = (run_cell(&mega, false), run_cell(&mega, true));
+        assert_eq!(
+            fast.metrics(),
+            naive.metrics(),
+            "flat-arena engine must be byte-identical to the naive twin at 100k users"
+        );
+        assert_eq!(fast.rng_fingerprint(), naive.rng_fingerprint());
 
-        #[test]
-        fn flat_arena_engine_matches_naive_twin(
-            users in 600usize..1800,
-            seed in any::<u64>(),
-            think_idx in 0usize..3,
-        ) {
-            let think_s = [0.5, 2.0, 7.0][think_idx];
-            let fast = run_cell(users, seed, think_s, false);
-            let naive = run_cell(users, seed, think_s, true);
-            prop_assert_eq!(
-                fast.metrics(),
-                naive.metrics(),
-                "recorded metrics diverged (users={}, seed={seed}, think={think_s})",
-                users
-            );
-            prop_assert_eq!(fast.rng_fingerprint(), naive.rng_fingerprint());
+        // Random inputs: paper-scale cells at three think times.
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(5))]
+
+            fn random_cells(
+                users in 600usize..1800,
+                seed in any::<u64>(),
+                think_idx in 0usize..3,
+            ) {
+                let think_s = [0.5, 2.0, 7.0][think_idx];
+                let cell = Cell {
+                    users,
+                    config: SimConfig::default().seed(seed),
+                    pop_seed: seed ^ 0xABCD,
+                    think_s: Some(think_s),
+                    horizon: SimTime::from_secs(10),
+                };
+                let fast = run_cell(&cell, false);
+                let naive = run_cell(&cell, true);
+                prop_assert_eq!(
+                    fast.metrics(),
+                    naive.metrics(),
+                    "recorded metrics diverged (users={}, seed={seed}, think={think_s})",
+                    users
+                );
+                prop_assert_eq!(fast.rng_fingerprint(), naive.rng_fingerprint());
+            }
         }
+        random_cells();
     }
 }
 
