@@ -1,6 +1,6 @@
 //! Property-based tests of the application generators' invariants.
 
-use apps::{social_network, SocialNetwork, UBench, UBenchConfig};
+use apps::{social_network, MediaService, SocialNetwork, UBench, UBenchConfig};
 use proptest::prelude::*;
 use telemetry::GroundTruth;
 
@@ -77,5 +77,34 @@ proptest! {
         let app = SocialNetwork::decoupled(users);
         let gt = GroundTruth::from_topology(app.topology());
         prop_assert_eq!(gt.groups().multi_member_groups().count(), 0);
+    }
+}
+
+/// Every path of every bundled application keeps its activation frames
+/// inline in the kernel's job slot: a deeper path would heap-allocate a
+/// spill buffer on every request of that type.
+#[test]
+fn every_bundled_path_fits_the_inline_frames() {
+    let ubench = |cfg| UBench::generate(cfg).topology().clone();
+    let apps = [
+        ("App.1", ubench(UBenchConfig::app1(4_000))),
+        ("App.2", ubench(UBenchConfig::app2(4_000))),
+        ("App.3", ubench(UBenchConfig::app3(4_000))),
+        (
+            "SocialNetwork",
+            SocialNetwork::new(4_000).topology().clone(),
+        ),
+        ("MediaService", MediaService::new(4_000).topology().clone()),
+    ];
+    for (name, topology) in apps {
+        for rt in topology.request_types() {
+            assert!(
+                rt.steps.len() <= microsim::job::INLINE_FRAMES,
+                "{name} `{}` has {} steps, more than the {} inline frames",
+                rt.name,
+                rt.steps.len(),
+                microsim::job::INLINE_FRAMES
+            );
+        }
     }
 }

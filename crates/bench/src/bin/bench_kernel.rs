@@ -198,7 +198,14 @@ fn object(fields: &[(&str, String)], indent: usize) -> String {
     format!("{{\n{}\n{}}}", lines.join(",\n"), " ".repeat(indent))
 }
 
-/// Pending-event population of the paper-cell hold model: 7-12K
+/// Pending-event population of the sparse regime the workloads actually
+/// reach: the high-water mark of `grunt_bench`'s `profiling` workload (the
+/// fig16 profiler on App.2), whose user timers live in the think-timer
+/// arena rather than on the wheel. At this density a 64 µs wheel block
+/// holds under one event, so nearly every pop refills from level 1.
+const SPARSE_PENDING: u64 = 1_433;
+
+/// Pending-event population of the dense paper-cell hold model: 7-12K
 /// closed-loop user timers plus in-flight request events.
 const HOLD_PENDING: u64 = 32_768;
 
@@ -505,7 +512,7 @@ fn main() {
         ("round_budget_ms", ROUND_BUDGET.as_millis().to_string()),
     ];
 
-    let hold_runs: Vec<String> = [HOLD_PENDING, DEEP_PENDING]
+    let hold_runs: Vec<String> = [SPARSE_PENDING, HOLD_PENDING, DEEP_PENDING]
         .into_iter()
         .map(|pending| {
             eprintln!("== event queue, {pending} pending: timing wheel vs binary heap ==");

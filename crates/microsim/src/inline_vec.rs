@@ -1,7 +1,7 @@
 //! A small vector that stores its first `N` elements inline.
 //!
-//! Job activation frames are pushed and popped on every RPC hop, and almost
-//! all execution paths are shorter than [`Job`](crate::job::Job)'s inline
+//! Job activation frames are pushed and popped on every RPC hop, and every
+//! bundled application's paths fit [`Job`](crate::job::Job)'s inline
 //! capacity — so frame storage never touches the allocator in the steady
 //! state. Deeper paths spill to a heap `Vec` transparently.
 

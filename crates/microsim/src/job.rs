@@ -7,10 +7,12 @@ use simnet::SimTime;
 use crate::agent::AgentId;
 use crate::inline_vec::InlineVec;
 
-/// Inline frame capacity per job. Execution paths in the studied
-/// applications are at most a handful of steps deep, so frame storage
-/// normally never allocates; deeper paths spill to the heap transparently.
-pub(crate) const INLINE_FRAMES: usize = 8;
+/// Inline frame capacity per job: 16 eight-byte frames, 128 bytes. The
+/// deepest bundled paths are µBench App.3's, at 12 steps, so frame storage
+/// never allocates on any bundled application (the `apps` property tests
+/// check every path against this constant); a deeper path spills to the
+/// heap transparently.
+pub const INLINE_FRAMES: usize = 16;
 
 /// Identity attached to an externally submitted request.
 ///
@@ -133,7 +135,7 @@ pub(crate) enum Phase {
 pub(crate) struct Frame {
     /// Index into the service's replica vector where this frame was (or
     /// will be) admitted.
-    pub replica: usize,
+    pub replica: u32,
     /// Whether the frame currently holds a worker-thread slot.
     pub admitted: bool,
 }

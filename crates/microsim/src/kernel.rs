@@ -4,6 +4,15 @@
 //! two blocking mechanisms described in the crate docs (thread-slot holding
 //! across synchronous RPC, FIFO CPU queues per replica), samples metrics on
 //! a fixed window, and runs the auto-scaler on 1 s boundaries.
+//!
+//! A request on an idle path of length L costs 4L − 1 events: L
+//! `Deliver`, L − 1 `Reply`, 2L − 1 `ComputeDone` (one segment per leaf,
+//! two per intermediate step) and one `Complete`. The per-event path is
+//! kept small accordingly: an `Event` is 16 bytes, every handler reads
+//! its step's service, leaf flag and demand from one flat `Plan` entry,
+//! and a jittered compute segment costs a single `exp` over precomputed
+//! lognormal parameters. [`Counters`](crate::Counters) count the events
+//! popped per kind and the pending-event high-water mark.
 
 use std::sync::Arc;
 
@@ -13,43 +22,47 @@ use simnet::{EventQueue, RngStream, SimDuration, SimTime};
 use crate::agent::AgentId;
 use crate::autoscale::{decide, ScaleDecision, ScalingAction, ScalingDirection};
 use crate::config::SimConfig;
+use crate::counters::Counters;
 use crate::job::{Frame, Job, Origin, Outcome, Phase, Response};
 use crate::metrics::{AccessLogEntry, Metrics, NetworkWindow, RequestRecord, ServiceWindow};
+use crate::plan::{Plan, Step};
 use crate::replica::Segment;
 use crate::resilience::{BreakerBank, DeadlineQueues};
 use crate::service::Service;
 
 /// Events interpreted by the kernel's dispatch loop.
+///
+/// Every variant fits in 16 bytes (asserted below), so a wheel entry with
+/// its `(time, seq)` key is 32. Job, step and service indices are `u32`;
+/// a `ComputeDone` carries no service or replica, because the service is
+/// the path step's and the replica is the one recorded in the job's frame
+/// for that step (a cancelled tombstone keeps its frames too).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
     /// A request/RPC arrives at step `step` of `job`'s path.
-    Deliver { job: usize, step: usize },
+    Deliver { job: u32, step: u32 },
     /// The downstream reply for step `step` of `job` arrives back.
-    Reply { job: usize, step: usize },
-    /// A compute segment finished on a core.
-    ComputeDone {
-        service: usize,
-        replica: usize,
-        job: usize,
-        step: usize,
-        phase: Phase,
-    },
+    Reply { job: u32, step: u32 },
+    /// A compute segment of step `step` of `job` finished on a core.
+    ComputeDone { job: u32, step: u32, phase: Phase },
     /// The response reaches the submitting client.
-    Complete { job: usize },
+    Complete { job: u32 },
     /// An agent timer fires.
     Wake { agent: AgentId, token: u64 },
     /// Metrics sampling boundary.
     Sample,
     /// A provisioned replica comes online.
-    ScaleUpReady { service: usize },
+    ScaleUpReady { service: u32 },
     /// The front entry of deadline class `class` may have expired. Each
     /// class keeps at most one of these on the wheel (see
     /// [`DeadlineQueues`]), so pending events stay O(classes) even with
     /// 100k in-flight deadlines.
     DeadlineCheck { class: u32 },
     /// A platform-level retry's backoff elapsed: re-deliver the attempt.
-    Retry { job: usize },
+    Retry { job: u32 },
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
 /// Why [`Kernel::pump`] returned control to the run loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +86,7 @@ const DEMAND_Z_BATCH: usize = 32;
 ///
 /// `Clone` performs a deep copy of all mutable state (event queue, replicas,
 /// in-flight jobs, metric windows, RNG streams) while the immutable parts —
-/// topology, execution paths, config — are shared via `Arc`. A clone is
+/// topology, demand plan, config — are shared via `Arc`. A clone is
 /// therefore an exact fork: running the original and the clone with the same
 /// inputs produces bit-identical histories.
 ///
@@ -85,7 +98,8 @@ const DEMAND_Z_BATCH: usize = 32;
 /// the crate sees them.
 pub struct Kernel {
     pub(crate) topology: Arc<Topology>,
-    pub(crate) paths: Arc<Vec<callgraph::ExecutionPath>>,
+    /// Every request type's path, flattened with precomputed demands.
+    pub(crate) plan: Plan,
     pub(crate) cfg: Arc<SimConfig>,
     pub(crate) now: SimTime,
     pub(crate) queue: EventQueue<Event>,
@@ -128,6 +142,8 @@ pub struct Kernel {
     /// which case the kernel takes exactly the pre-resilience code paths —
     /// no extra events, draws, or records.
     pub(crate) resilience_active: bool,
+    /// Events popped per kind and the pending-event high-water mark.
+    pub(crate) counters: Counters,
 }
 
 impl std::fmt::Debug for Kernel {
@@ -151,11 +167,11 @@ impl Kernel {
             .map(|spec| Service::new(spec, now))
             .collect();
         let n = services.len();
-        let paths = topology.paths();
+        let plan = Plan::new(&topology, cfg.platform.demand_scale);
         let mut queue = EventQueue::with_capacity(1024);
         queue.push(now + cfg.window, Event::Sample);
         let windows_per_sec = (1_000_000 / cfg.window.as_micros()).max(1);
-        let type_deadlines: Vec<Option<SimDuration>> = (0..paths.len())
+        let type_deadlines: Vec<Option<SimDuration>> = (0..plan.num_types())
             .map(|rt| cfg.resilience.policy_for(rt as u32).deadline)
             .collect();
         Kernel {
@@ -173,7 +189,7 @@ impl Kernel {
             demand_z_next: DEMAND_Z_BATCH,
             trace_rng: RngStream::from_label(cfg.seed, "kernel/trace"),
             topology: Arc::new(topology),
-            paths: Arc::new(paths),
+            plan,
             cfg: Arc::new(cfg),
             now,
             queue,
@@ -191,6 +207,7 @@ impl Kernel {
             sec_started: now,
             windows_per_sec,
             windows_seen: 0,
+            counters: Counters::default(),
         }
     }
 
@@ -207,6 +224,11 @@ impl Kernel {
     /// Collected metrics so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+
+    /// Deterministic counters of the kernel's work so far.
+    pub fn counters(&self) -> Counters {
+        self.counters
     }
 
     /// Active replica count of a service (admin view; Fig 15b).
@@ -234,7 +256,7 @@ impl Kernel {
         tag: u64,
     ) -> u64 {
         assert!(
-            request_type.index() < self.paths.len(),
+            request_type.index() < self.plan.num_types(),
             "unknown request type {request_type}"
         );
         let token = self.next_token;
@@ -253,7 +275,7 @@ impl Kernel {
         }
 
         let trace = self.cfg.trace_sampling > 0.0 && self.trace_rng.chance(self.cfg.trace_sampling);
-        let steps = self.paths[request_type.index()].len();
+        let steps = self.plan.steps(request_type).len();
         let spans = trace.then(|| {
             let mut buf = self.span_pool.pop().unwrap_or_default();
             buf.clear();
@@ -285,7 +307,10 @@ impl Kernel {
         };
         self.queue.push(
             self.now + self.cfg.platform.net_latency,
-            Event::Deliver { job: id, step: 0 },
+            Event::Deliver {
+                job: id as u32,
+                step: 0,
+            },
         );
         if self.resilience_active {
             if let Some((expiry, class)) =
@@ -312,27 +337,56 @@ impl Kernel {
     /// before any later event is processed).
     pub(crate) fn pump(&mut self, until: SimTime) -> PumpResult {
         while let Some(t) = self.queue.peek_time() {
+            // Every push is followed by a pass through here (handlers
+            // push inside this loop; agent callbacks before the next
+            // pump), so checking before each pop sees the true peak.
+            let pending = self.queue.len() as u64;
+            if pending > self.counters.pending_max {
+                self.counters.pending_max = pending;
+            }
             if t > until {
                 break;
             }
             let (t, ev) = self.queue.pop().expect("peeked");
             self.now = t;
+            let c = &mut self.counters;
             match ev {
-                Event::Wake { agent, token } => return PumpResult::Wake(agent, token),
-                Event::Deliver { job, step } => self.handle_deliver(job, step),
-                Event::Reply { job, step } => self.handle_reply(job, step),
-                Event::ComputeDone {
-                    service,
-                    replica,
-                    job,
-                    step,
-                    phase,
-                } => self.handle_compute_done(service, replica, job, step, phase),
-                Event::Complete { job } => self.handle_complete(job),
-                Event::Sample => self.handle_sample(),
-                Event::ScaleUpReady { service } => self.handle_scale_up(service),
-                Event::DeadlineCheck { class } => self.handle_deadline_check(class),
-                Event::Retry { job } => self.handle_retry(job),
+                Event::Wake { agent, token } => {
+                    c.wake += 1;
+                    return PumpResult::Wake(agent, token);
+                }
+                Event::Deliver { job, step } => {
+                    c.deliver += 1;
+                    self.handle_deliver(job as usize, step as usize);
+                }
+                Event::Reply { job, step } => {
+                    c.reply += 1;
+                    self.handle_reply(job as usize, step as usize);
+                }
+                Event::ComputeDone { job, step, phase } => {
+                    c.compute_done += 1;
+                    self.handle_compute_done(job as usize, step as usize, phase);
+                }
+                Event::Complete { job } => {
+                    c.complete += 1;
+                    self.handle_complete(job as usize);
+                }
+                Event::Sample => {
+                    c.sample += 1;
+                    self.handle_sample();
+                }
+                Event::ScaleUpReady { service } => {
+                    c.scale_up_ready += 1;
+                    self.handle_scale_up(service as usize);
+                }
+                Event::DeadlineCheck { class } => {
+                    c.deadline_check += 1;
+                    self.handle_deadline_check(class);
+                }
+                Event::Retry { job } => {
+                    c.retry += 1;
+                    self.handle_retry(job as usize);
+                }
             }
             if !self.outbox.is_empty() {
                 return PumpResult::Responses;
@@ -342,17 +396,19 @@ impl Kernel {
         PumpResult::Idle
     }
 
-    fn path_of(&self, job: usize) -> &callgraph::ExecutionPath {
+    /// The plan step `step` of `job`'s path.
+    #[inline]
+    fn step_of(&self, job: usize, step: usize) -> &Step {
         let rt = self.jobs[job].as_ref().expect("live job").request_type;
-        &self.paths[rt.index()]
+        self.plan.step(rt, step)
     }
 
     fn handle_deliver(&mut self, job: usize, step: usize) {
         if self.resilience_active && self.reap_if_cancelled(job) {
             return;
         }
-        let service_id = self.path_of(job).steps()[step].service;
-        let sidx = service_id.index();
+        let demand = *self.step_of(job, step);
+        let sidx = demand.sidx();
         if self.resilience_active && !self.breakers.admit(sidx, self.now) {
             // Open breaker: fail fast before the request touches the
             // service (no arrival is counted, no frame pushed). Breaker
@@ -366,7 +422,7 @@ impl Kernel {
             let j = self.jobs[job].as_mut().expect("live job");
             debug_assert_eq!(j.frames.len(), step, "frames grow with descent");
             j.frames.push(Frame {
-                replica: ridx,
+                replica: ridx as u32,
                 admitted: false,
             });
             if let Some(spans) = &mut j.spans {
@@ -377,7 +433,7 @@ impl Kernel {
         let replica = &mut self.services[sidx].replicas[ridx];
         if replica.try_admit() {
             self.jobs[job].as_mut().expect("live job").frames[step].admitted = true;
-            self.start_segment(sidx, ridx, job, step, Phase::Pre);
+            self.start_segment(demand, ridx, job, step, Phase::Pre);
         } else if self.resilience_active
             && queue_bound.is_some_and(|b| replica.wait_queue.len() >= b as usize)
         {
@@ -392,29 +448,20 @@ impl Kernel {
         }
     }
 
-    /// Samples the jittered duration of a compute segment and offers it to
-    /// the replica's CPU.
-    fn start_segment(&mut self, sidx: usize, ridx: usize, job: usize, step: usize, phase: Phase) {
-        let path = self.path_of(job);
-        let is_leaf = step + 1 == path.len();
-        let mean = path.steps()[step].demand.as_secs_f64()
-            * self.cfg.platform.demand_scale
-            * if is_leaf { 1.0 } else { 0.5 };
-        let cv = self.services[sidx].spec.demand_cv;
+    /// Samples the jittered duration of a compute segment of `job` at path
+    /// step `step` (whose plan entry is `demand`) and offers it to replica
+    /// `ridx` of the step's service.
+    fn start_segment(&mut self, demand: Step, ridx: usize, job: usize, step: usize, phase: Phase) {
+        let sidx = demand.sidx();
         // Same draw discipline as `RngStream::lognormal_mean_cv`: a normal
         // draw is consumed only when the distribution is non-degenerate, so
         // the batched buffer reproduces per-call sampling bit-for-bit.
-        let secs = if mean > 0.0 && cv > 0.0 {
-            let z = self.next_demand_z();
-            simnet::lognormal_mean_cv_from_z(mean, cv, z)
-        } else if mean > 0.0 {
-            mean
+        let z = if demand.draws() {
+            self.next_demand_z()
         } else {
             0.0
         };
-        let duration = SimDuration::from_secs_f64(secs);
-        // A leaf spends its whole demand in Pre; intermediate steps split
-        // half before the downstream call, half after the reply.
+        let duration = SimDuration::from_secs_f64(demand.secs(z));
         let seg = Segment {
             job,
             step,
@@ -426,10 +473,8 @@ impl Kernel {
             self.queue.push(
                 now + duration,
                 Event::ComputeDone {
-                    service: sidx,
-                    replica: ridx,
-                    job,
-                    step,
+                    job: job as u32,
+                    step: step as u32,
                     phase,
                 },
             );
@@ -452,14 +497,14 @@ impl Kernel {
         z
     }
 
-    fn handle_compute_done(
-        &mut self,
-        sidx: usize,
-        ridx: usize,
-        job: usize,
-        step: usize,
-        phase: Phase,
-    ) {
+    fn handle_compute_done(&mut self, job: usize, step: usize, phase: Phase) {
+        // The segment ran on the replica recorded in the step's frame, at
+        // the step's service. A cancelled job is still a tombstone here
+        // (this event is its last reference), frames intact.
+        let j = self.jobs[job].as_ref().expect("live job");
+        let ridx = j.frames[step].replica as usize;
+        let demand = *self.plan.step(j.request_type, step);
+        let sidx = demand.sidx();
         // Hand the core to the next queued segment, if any. A queued
         // segment of a cancelled job is skipped: popping it consumes that
         // job's last reference, so the tombstone is reaped and the core
@@ -478,10 +523,8 @@ impl Kernel {
                     self.queue.push(
                         now + next.duration,
                         Event::ComputeDone {
-                            service: sidx,
-                            replica: ridx,
-                            job: next.job,
-                            step: next.step,
+                            job: next.job as u32,
+                            step: next.step as u32,
                             phase: next.phase,
                         },
                     );
@@ -496,15 +539,14 @@ impl Kernel {
             return;
         }
         // Advance the finished job.
-        let path_len = self.path_of(job).len();
         match phase {
-            Phase::Pre if step + 1 < path_len => {
+            Phase::Pre if !demand.leaf => {
                 // Descend: the thread slot at this step stays held.
                 self.queue.push(
                     now + self.cfg.platform.net_latency,
                     Event::Deliver {
-                        job,
-                        step: step + 1,
+                        job: job as u32,
+                        step: step as u32 + 1,
                     },
                 );
             }
@@ -531,6 +573,7 @@ impl Kernel {
         }
         self.release_slot_and_admit_waiter(sidx, ridx);
         let net = self.cfg.platform.net_latency;
+        let job = job as u32;
         if step == 0 {
             self.queue.push(self.now + net, Event::Complete { job });
         } else {
@@ -538,7 +581,7 @@ impl Kernel {
                 self.now + net,
                 Event::Reply {
                     job,
-                    step: step - 1,
+                    step: step as u32 - 1,
                 },
             );
         }
@@ -549,8 +592,8 @@ impl Kernel {
             return;
         }
         let frame = self.jobs[job].as_ref().expect("live job").frames[step];
-        let service_id = self.path_of(job).steps()[step].service;
-        self.start_segment(service_id.index(), frame.replica, job, step, Phase::Post);
+        let demand = *self.step_of(job, step);
+        self.start_segment(demand, frame.replica as usize, job, step, Phase::Post);
     }
 
     fn handle_complete(&mut self, job: usize) {
@@ -570,10 +613,10 @@ impl Kernel {
         });
         if let Some(spans) = j.spans {
             let mut hist = ExecutionHistory::new();
-            let path = &self.paths[j.request_type.index()];
             let mut parent = None;
             for (i, &(start, end)) in spans.iter().enumerate() {
-                parent = Some(hist.record(parent, path.steps()[i].service, start, end));
+                let service = self.plan.service(j.request_type, i);
+                parent = Some(hist.record(parent, service, start, end));
             }
             self.metrics.record_trace(j.request_type, hist);
             self.span_pool.push(spans);
@@ -628,7 +671,8 @@ impl Kernel {
             }
             if self.services[sidx].replicas[ridx].try_admit() {
                 self.jobs[wjob].as_mut().expect("live waiter").frames[wstep].admitted = true;
-                self.start_segment(sidx, ridx, wjob, wstep, Phase::Pre);
+                let demand = *self.step_of(wjob, wstep);
+                self.start_segment(demand, ridx, wjob, wstep, Phase::Pre);
             } else {
                 // Draining replica: reroute the waiter to another replica.
                 self.jobs[wjob].as_mut().expect("live waiter").frames.pop();
@@ -636,8 +680,8 @@ impl Kernel {
                 self.queue.push(
                     self.now,
                     Event::Deliver {
-                        job: wjob,
-                        step: wstep,
+                        job: wjob as u32,
+                        step: wstep as u32,
                     },
                 );
             }
@@ -688,8 +732,8 @@ impl Kernel {
             if !frame.admitted {
                 continue;
             }
-            let sidx = self.paths[rt.index()].steps()[step].service.index();
-            self.release_slot_and_admit_waiter(sidx, frame.replica);
+            let sidx = self.plan.step(rt, step).sidx();
+            self.release_slot_and_admit_waiter(sidx, frame.replica as usize);
         }
         match outcome {
             Outcome::TimedOut => self.metrics.resilience.timed_out += 1,
@@ -754,7 +798,7 @@ impl Kernel {
             }
             self.queue.push(
                 now + SimDuration::from_secs_f64(backoff),
-                Event::Retry { job: id },
+                Event::Retry { job: id as u32 },
             );
         } else {
             self.outbox.push((
@@ -790,9 +834,8 @@ impl Kernel {
             // Attribute the timeout to the deepest service reached (the
             // one the request was stuck at); a request timing out before
             // first delivery charges its entry service.
-            let path = &self.paths[j.request_type.index()];
             let fail_step = j.frames.len().saturating_sub(1);
-            let fail_sidx = path.steps()[fail_step].service.index();
+            let fail_sidx = self.plan.step(j.request_type, fail_step).sidx();
             self.fail_attempt(job, Outcome::TimedOut, fail_sidx, true, false);
         }
         if let Some(next) = self.deadlines.re_arm(class) {
@@ -822,7 +865,10 @@ impl Kernel {
         }
         self.queue.push(
             self.now + self.cfg.platform.net_latency,
-            Event::Deliver { job, step: 0 },
+            Event::Deliver {
+                job: job as u32,
+                step: 0,
+            },
         );
         if let Some((expiry, class)) = self.deadlines.arm(self.now, rt.index() as u32, job, token) {
             self.queue.push(expiry, Event::DeadlineCheck { class });
@@ -882,7 +928,7 @@ impl Kernel {
                                 svc.scaling_in_flight = true;
                                 self.queue.push(
                                     now + policy.provision_delay,
-                                    Event::ScaleUpReady { service: i },
+                                    Event::ScaleUpReady { service: i as u32 },
                                 );
                             }
                         }
@@ -934,7 +980,13 @@ impl Kernel {
             }
             self.jobs[job].as_mut().expect("live waiter").frames.pop();
             self.win_arrivals[sidx] = self.win_arrivals[sidx].saturating_sub(1);
-            self.queue.push(self.now, Event::Deliver { job, step });
+            self.queue.push(
+                self.now,
+                Event::Deliver {
+                    job: job as u32,
+                    step: step as u32,
+                },
+            );
             moved += 1;
         }
         moved

@@ -59,10 +59,12 @@ pub mod agent;
 pub mod agents;
 pub mod autoscale;
 pub mod config;
+mod counters;
 mod inline_vec;
 pub mod job;
 pub mod kernel;
 pub mod metrics;
+mod plan;
 pub mod replica;
 pub mod resilience;
 pub mod seglog;
@@ -76,6 +78,7 @@ pub use config::{
     BreakerPolicy, PlatformProfile, ResilienceConfig, ResiliencePolicy, RetryPolicy, SimConfig,
     TypePolicy,
 };
+pub use counters::Counters;
 pub use job::{Origin, Outcome, Response};
 pub use metrics::{AccessLogEntry, Metrics, RequestRecord, ResilienceCounters, ServiceWindow};
 pub use seglog::{AccessLog, Csr, RequestFilter, RequestLog, SegLog, WindowLog};

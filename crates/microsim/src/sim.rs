@@ -163,6 +163,12 @@ impl Simulation {
         }
     }
 
+    /// Deterministic counters of the kernel's work so far: events popped
+    /// per kind and the pending-event high-water mark.
+    pub fn counters(&self) -> crate::Counters {
+        self.kernel.counters()
+    }
+
     /// Number of events pending in the calendar (used by the
     /// snapshot-equivalence tests).
     pub fn pending_events(&self) -> usize {

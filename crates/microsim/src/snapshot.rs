@@ -7,7 +7,7 @@
 //! snapshot yields a [`Simulation`](crate::Simulation) whose subsequent
 //! history is **bit-identical** to the original's: a snapshot is an exact deep
 //! copy of the mutable state, while the large immutable parts (topology,
-//! execution paths, config) are shared via `Arc`, so cloning a snapshot per
+//! demand plan, config) are shared via `Arc`, so cloning a snapshot per
 //! sweep cell — or per worker thread — is cheap.
 //!
 //! Agents participate through [`Snapshot`], which any `Clone` agent gets
@@ -52,7 +52,7 @@ impl Clone for Kernel {
         Kernel {
             // Immutable per-run structure: shared, not copied.
             topology: Arc::clone(&self.topology),
-            paths: Arc::clone(&self.paths),
+            plan: self.plan.clone(),
             cfg: Arc::clone(&self.cfg),
             // Mutable simulation state: exact deep copies.
             now: self.now,
@@ -80,6 +80,7 @@ impl Clone for Kernel {
             deadlines: self.deadlines.clone(),
             breakers: self.breakers.clone(),
             resilience_active: self.resilience_active,
+            counters: self.counters,
         }
     }
 }
@@ -184,7 +185,7 @@ impl<A: Agent + Clone + Send + Sync> ErasedAgentState for CloneState<A> {
 /// [`Simulation::from_snapshot`](crate::Simulation::from_snapshot).
 ///
 /// Cloning is cheap relative to re-running the simulated time it encodes:
-/// the topology, execution paths, and config are `Arc`-shared, so a clone
+/// the topology, demand plan, and config are `Arc`-shared, so a clone
 /// copies only the live mutable state. `SimSnapshot` is `Send + Sync`, so a
 /// sweep can hold one behind an `Arc` and let each worker thread fork its
 /// own cells.

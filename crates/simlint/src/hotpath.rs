@@ -15,7 +15,7 @@
 //! `.clone()` is reported at `warning` severity only: the lexer is
 //! type-blind and most hot-path clones are `Arc` handle bumps, not heap
 //! copies. Everything else (`vec!`, `Vec::new`, `collect`, `to_string`,
-//! ...) is an error.
+//! stable sorts, ...) is an error.
 
 use crate::graph::FnGraph;
 use crate::lexer::Token;
@@ -132,8 +132,19 @@ const ALLOC_CTORS: [&str; 3] = ["from", "new", "with_capacity"];
 /// Allocating macros.
 const ALLOC_MACROS: [&str; 2] = ["format", "vec"];
 
-/// Allocating methods (on any receiver).
-const ALLOC_METHODS: [&str; 4] = ["collect", "to_owned", "to_string", "to_vec"];
+/// Allocating methods (on any receiver). The stable sorts allocate a merge
+/// buffer (and `sort_by_cached_key` a key vector); hot paths use the
+/// in-place `sort_unstable*` family instead.
+const ALLOC_METHODS: [&str; 8] = [
+    "collect",
+    "sort",
+    "sort_by",
+    "sort_by_cached_key",
+    "sort_by_key",
+    "to_owned",
+    "to_string",
+    "to_vec",
+];
 
 /// Runs the rule over a model's files.
 pub fn check(files: &[SrcFile], seeds: &[Seed], out: &mut Vec<Diagnostic>) {

@@ -91,6 +91,51 @@ fn hotness_stops_at_cold_trait_impls_and_fn_names() {
 }
 
 #[test]
+fn stable_sorts_are_hot_allocations_and_unstable_sorts_are_not() {
+    let m = model(
+        &[(
+            "crates/demo/src/engine.rs",
+            r"
+            struct Engine { a: Vec<u64>, b: Vec<(u64, u64)> }
+            impl Engine {
+                pub fn tick(&mut self) {
+                    self.a.sort();
+                    self.b.sort_by(|x, y| x.cmp(y));
+                    self.b.sort_by_key(|e| e.0);
+                    self.b.sort_by_cached_key(|e| e.1);
+                    self.a.sort_unstable();
+                    self.b.sort_unstable_by(|x, y| x.cmp(y));
+                    self.b.sort_unstable_by_key(|e| (e.0, e.1));
+                    let sort = 3;
+                }
+            }
+            ",
+        )],
+        &[],
+    );
+    let diags = run_hotpath(&m, &[ENGINE_SEED]);
+    let flagged: Vec<&str> = ["sort", "sort_by", "sort_by_key", "sort_by_cached_key"]
+        .into_iter()
+        .filter(|name| {
+            diags
+                .iter()
+                .any(|d| d.message.contains(&format!("`.{name}()`")))
+        })
+        .collect();
+    assert_eq!(
+        flagged,
+        ["sort", "sort_by", "sort_by_key", "sort_by_cached_key"],
+        "every stable sort fires: {diags:?}"
+    );
+    assert_eq!(
+        diags.len(),
+        4,
+        "unstable sorts and a `sort` binding stay quiet: {diags:?}"
+    );
+    assert!(diags.iter().all(|d| d.severity == Severity::Error));
+}
+
+#[test]
 fn unresolved_seed_is_a_config_drift_finding() {
     let m = model(&[("crates/demo/src/engine.rs", "fn unrelated() {}")], &[]);
     let diags = run_hotpath(&m, &[ENGINE_SEED]);

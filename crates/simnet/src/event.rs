@@ -7,6 +7,16 @@
 //! for the same instant are still delivered in the order they were pushed.
 //! That FIFO tie-break is what makes whole-system runs reproducible.
 //!
+//! Pops are served from a sorted `ready` run. When it empties, the wheel
+//! refills it from the earliest occupied bucket: a level-0 window is
+//! drained slot by slot (each slot is one tick, already in push order); a
+//! level-1 bucket — one 64 µs block — is sorted by `(time, seq)` straight
+//! into `ready`; higher levels cascade into lower ones. The kernel's
+//! pending population is sparse (about a thousand events spread over
+//! milliseconds to seconds), so a level-0 window rarely holds more than
+//! one event and most refills come from level 1: sorting that bucket in
+//! place skips re-filing every entry into level 0 and draining it again.
+//!
 //! [`HeapEventQueue`] keeps the original `BinaryHeap` implementation as a
 //! differential-test oracle and benchmark baseline; both queues produce
 //! bit-identical pop sequences for any program of pushes and pops.
@@ -237,10 +247,24 @@ impl<E> EventQueue<E> {
                     return true;
                 }
                 self.occupied[level] &= !(1u64 << slot);
+                let above = shift + SLOT_BITS;
+                if level == 1 {
+                    // A level-1 bucket is one 64-tick block and level 0 is
+                    // empty, so the bucket holds exactly the earliest
+                    // pending events. Sort it straight into `ready` instead
+                    // of re-filing it into level 0 and draining that, and
+                    // park the cursor at the block's last tick.
+                    let bucket = &mut self.slots[SLOTS + slot];
+                    bucket.sort_unstable_by_key(|e| (e.time, e.seq));
+                    self.ready.extend(bucket.drain(..));
+                    self.cursor = ((self.cursor >> above) << above)
+                        | ((slot as u64) << shift)
+                        | (SLOTS as u64 - 1);
+                    return true;
+                }
                 // Cascade: advance to the bucket's start (nothing pends
                 // before it) and re-file its entries, which now land at
                 // lower levels or directly in `ready`.
-                let above = shift + SLOT_BITS;
                 self.cursor = ((self.cursor >> above) << above) | ((slot as u64) << shift);
                 let mut scratch = mem::take(&mut self.scratch);
                 scratch.append(&mut self.slots[level * SLOTS + slot]);
