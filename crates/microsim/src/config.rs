@@ -117,7 +117,36 @@ impl BreakerPolicy {
     }
 }
 
-/// One request type's (or the default) resilience knobs.
+/// The request-level resilience axes — the only ones a per-request-type
+/// override can set. Breakers and queue bounds guard services, not request
+/// types, so they come from [`ResilienceConfig::default`] alone.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RequestPolicy {
+    /// End-to-end deadline per attempt; `None` means requests never time
+    /// out.
+    pub deadline: Option<SimDuration>,
+    /// Platform-level retry policy for failed attempts.
+    pub retry: RetryPolicy,
+}
+
+impl RequestPolicy {
+    /// No deadline, no retries.
+    pub const fn disabled() -> Self {
+        RequestPolicy {
+            deadline: None,
+            retry: RetryPolicy::disabled(),
+        }
+    }
+
+    /// Whether this policy changes nothing.
+    pub fn is_disabled(&self) -> bool {
+        self.deadline.is_none() && self.retry.max_attempts <= 1
+    }
+}
+
+/// The default resilience knobs: the request-level axes every request type
+/// without an override uses, plus the service-level breaker and queue
+/// bound.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ResiliencePolicy {
     /// End-to-end deadline per attempt; `None` means requests never time
@@ -125,8 +154,7 @@ pub struct ResiliencePolicy {
     pub deadline: Option<SimDuration>,
     /// Platform-level retry policy for failed attempts.
     pub retry: RetryPolicy,
-    /// Circuit-breaker policy (service-level; read from the default
-    /// policy only).
+    /// Circuit-breaker policy (service-level).
     pub breaker: BreakerPolicy,
     /// Bound on each replica's wait queue; arrivals beyond it are shed
     /// ([`Outcome::Shed`](crate::Outcome)). `None` means unbounded.
@@ -146,10 +174,17 @@ impl ResiliencePolicy {
         }
     }
 
+    /// The request-level axes of this policy.
+    pub fn request(&self) -> RequestPolicy {
+        RequestPolicy {
+            deadline: self.deadline,
+            retry: self.retry,
+        }
+    }
+
     /// Whether this policy changes nothing.
     pub fn is_disabled(&self) -> bool {
-        self.deadline.is_none()
-            && self.retry.max_attempts <= 1
+        self.request().is_disabled()
             && self.breaker.failure_threshold == 0
             && self.queue_bound.is_none()
     }
@@ -166,8 +201,8 @@ impl Default for ResiliencePolicy {
 pub struct TypePolicy {
     /// Dense request-type index the override applies to.
     pub request_type: u32,
-    /// The policy for that type.
-    pub policy: ResiliencePolicy,
+    /// The request-level policy for that type.
+    pub policy: RequestPolicy,
 }
 
 /// The simulation's resilience configuration: a default policy plus
@@ -175,9 +210,9 @@ pub struct TypePolicy {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ResilienceConfig {
     /// Policy for request types without an override. Breaker and
-    /// queue-bound settings are service-level and read from here only.
+    /// queue-bound settings are service-level and live here only.
     pub default: ResiliencePolicy,
-    /// Per-request-type overrides (deadline/retry axes).
+    /// Per-request-type overrides of the deadline/retry axes.
     pub per_type: Vec<TypePolicy>,
 }
 
@@ -196,7 +231,7 @@ impl ResilienceConfig {
     }
 
     /// Adds or replaces the override for `request_type`.
-    pub fn set_type(mut self, request_type: u32, policy: ResiliencePolicy) -> Self {
+    pub fn set_type(mut self, request_type: u32, policy: RequestPolicy) -> Self {
         match self
             .per_type
             .iter_mut()
@@ -211,12 +246,13 @@ impl ResilienceConfig {
         self
     }
 
-    /// The effective policy for a request type.
-    pub fn policy_for(&self, request_type: u32) -> &ResiliencePolicy {
+    /// The effective request-level policy for a request type: its override,
+    /// else the default's deadline and retry.
+    pub fn policy_for(&self, request_type: u32) -> RequestPolicy {
         self.per_type
             .iter()
             .find(|tp| tp.request_type == request_type)
-            .map_or(&self.default, |tp| &tp.policy)
+            .map_or_else(|| self.default.request(), |tp| tp.policy)
     }
 
     /// Whether every policy (default and overrides) is a no-op.
@@ -373,16 +409,28 @@ mod tests {
 
     #[test]
     fn per_type_overrides_resolve() {
-        let tight = ResiliencePolicy {
+        let tight = RequestPolicy {
             deadline: Some(SimDuration::from_millis(200)),
-            ..ResiliencePolicy::disabled()
+            ..RequestPolicy::disabled()
         };
         let rc = ResilienceConfig::disabled().set_type(2, tight);
         assert!(rc.policy_for(0).is_disabled());
-        assert_eq!(rc.policy_for(2).deadline, tight.deadline);
+        assert_eq!(rc.policy_for(2), tight);
+        assert!(!rc.is_disabled());
         // Replacing an existing override keeps the list deduplicated.
-        let rc = rc.set_type(2, ResiliencePolicy::disabled());
+        let rc = rc.set_type(2, RequestPolicy::disabled());
         assert_eq!(rc.per_type.len(), 1);
         assert!(rc.is_disabled());
+        // Types without an override inherit the default's request axes;
+        // the service-level axes are the default's alone.
+        let shed_only = ResiliencePolicy {
+            queue_bound: Some(4),
+            ..ResiliencePolicy::disabled()
+        };
+        let rc = ResilienceConfig::uniform(shed_only).set_type(1, tight);
+        assert_eq!(rc.policy_for(0), shed_only.request());
+        assert!(rc.policy_for(0).is_disabled());
+        assert_eq!(rc.policy_for(1), tight);
+        assert!(!rc.is_disabled());
     }
 }

@@ -11,7 +11,7 @@
 //! kept small accordingly: an `Event` is 16 bytes, every handler reads
 //! its step's service, leaf flag and demand from one flat `Plan` entry,
 //! and a jittered compute segment costs a single `exp` over precomputed
-//! lognormal parameters. [`Counters`](crate::Counters) count the events
+//! lognormal parameters. [`Counters`] count the events
 //! popped per kind and the pending-event high-water mark.
 
 use std::sync::Arc;
@@ -756,7 +756,7 @@ impl Kernel {
         if reap_now && self.jobs[job].is_some() {
             self.reap(job);
         }
-        let policy = *self.cfg.resilience.policy_for(rt.index() as u32);
+        let policy = self.cfg.resilience.policy_for(rt.index() as u32);
         if attempt < policy.retry.max_attempts {
             self.metrics.resilience.retries += 1;
             let token = self.next_token;

@@ -75,12 +75,12 @@ pub mod snapshot;
 pub use agent::{Agent, AgentId, SimCtx};
 pub use autoscale::{AutoScalePolicy, ScalingAction, ScalingDirection};
 pub use config::{
-    BreakerPolicy, PlatformProfile, ResilienceConfig, ResiliencePolicy, RetryPolicy, SimConfig,
-    TypePolicy,
+    BreakerPolicy, PlatformProfile, RequestPolicy, ResilienceConfig, ResiliencePolicy, RetryPolicy,
+    SimConfig, TypePolicy,
 };
 pub use counters::Counters;
 pub use job::{Origin, Outcome, Response};
 pub use metrics::{AccessLogEntry, Metrics, RequestRecord, ResilienceCounters, ServiceWindow};
-pub use seglog::{AccessLog, Csr, RequestFilter, RequestLog, SegLog, WindowLog};
+pub use seglog::{AccessIndex, AccessLog, Csr, RequestFilter, RequestIndex, RequestLog, WindowLog};
 pub use sim::Simulation;
 pub use snapshot::{AgentState, SimSnapshot, Snapshot, SnapshotError};

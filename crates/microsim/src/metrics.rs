@@ -14,11 +14,11 @@
 
 use callgraph::{ExecutionHistory, RequestTypeId, ServiceId};
 use serde::{Deserialize, Serialize};
-use simnet::{SimDuration, SimTime};
+use simnet::{SegLog, SimDuration, SimTime};
 
 use crate::autoscale::ScalingAction;
 use crate::job::{Origin, Outcome};
-use crate::seglog::{AccessLog, RequestLog, SegLog, WindowLog, SEG_CAP};
+use crate::seglog::{AccessLog, RequestLog, WindowLog};
 
 /// Per-service measurements for one sampling window.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -167,10 +167,10 @@ impl Metrics {
             window,
             num_services,
             windows: WindowLog::new(num_services),
-            request_log: RequestLog::new(),
-            access_log: AccessLog::new(),
+            request_log: RequestLog::default(),
+            access_log: AccessLog::default(),
             scaling_actions: Vec::new(),
-            traces: SegLog::new(SEG_CAP),
+            traces: SegLog::new(),
             resilience: ResilienceCounters::default(),
         }
     }

@@ -9,7 +9,7 @@
 //! # Deadline queues
 //!
 //! Deadlines come from a *static* set of durations (the distinct
-//! `ResiliencePolicy::deadline` values in the config), so expiry times are
+//! deadlines of the default and per-type policies), so expiry times are
 //! monotone within each duration class: requests are armed in submission
 //! order and all entries of a class share one duration. Each class is a
 //! FIFO of `(expiry, job, attempt token)` entries and holds **at most one**

@@ -1,245 +1,31 @@
-//! Copy-on-write segmented logs and per-segment query indexes.
+//! The metrics logs: [`RequestLog`], [`AccessLog`] and [`WindowLog`], each
+//! stored as a copy-on-write [`SegLog`] (see `simnet::seglog` for the
+//! layout and its COW invariants).
 //!
 //! `Metrics` grows append-only for an entire run, but warm-state forking
-//! (`snapshot` module) clones it once per sweep cell. Storing each log as a
-//! plain `Vec` makes that clone — and therefore every fork — O(run length).
-//! This module stores logs as **sealed immutable segments** behind [`Arc`]
-//! plus one bounded mutable tail:
+//! (`snapshot` module) clones it once per sweep cell; the segmented layout
+//! makes that clone O(tail) instead of O(run length).
 //!
-//! ```text
-//!   SegLog<T>:  [Arc seg0][Arc seg1]...[Arc segN] | tail (< seg_cap items)
-//!                  shared on clone (refcount bump)  | copied on clone
-//! ```
-//!
-//! Cloning shares the sealed prefix by reference, so a fork costs
-//! O(segments + tail) instead of O(records). Sealing happens at a fixed
-//! append count (`seg_cap`), making segment boundaries a pure function of
-//! how many records were pushed — a forked run and a cold run that record
-//! the same history produce structurally identical logs.
-//!
-//! **COW invariants.** A sealed segment is never mutated: appends go to the
-//! tail only, and sealing moves the tail into a *new* `Arc`. Two clones can
-//! therefore never observe each other's writes; writers never copy shared
-//! data because the tail is always uniquely owned.
-//!
-//! On top of the request log, [`RequestLog`] builds a small per-segment
-//! index at seal time (CSR posting lists keyed by request type, by origin
-//! class, and by both) so telemetry queries touch only matching records.
+//! On top of the request log, [`RequestIndex`] is built per segment at seal
+//! time (CSR posting lists keyed by request type, by origin class, by both
+//! and by outcome) so telemetry queries touch only matching records.
 //! Records are appended in completion order, so each posting list is
 //! chronologically sorted and time ranges resolve with binary search.
 //! Queries stream matches in exactly the order a naive full scan would
 //! visit them, which keeps downstream floating-point accumulations (means,
 //! percentile sorts) **bit-identical** to the unindexed implementation.
 
-use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
 
 use callgraph::RequestTypeId;
 use serde::{DeError, Deserialize, Serialize, Value};
-use simnet::SimTime;
+use simnet::{SegIndex, SegLog, SegLogIter, Segment, SimTime};
 
 use crate::job::{Outcome, OUTCOME_COUNT};
 use crate::metrics::{AccessLogEntry, NetworkWindow, RequestRecord, ServiceWindow};
 
-/// Records per sealed segment of the request/access/trace logs.
-///
-/// Fixed (rather than adaptive) so that segmentation is deterministic in
-/// the record count; large enough that per-segment overhead (Arc, index
-/// headers) is negligible, small enough that the mutable tail copied on
-/// fork stays tiny.
-pub const SEG_CAP: usize = 1024;
-
 /// Window rows per sealed segment of the [`WindowLog`].
 pub const ROWS_PER_SEG: usize = 128;
-
-/// An append-only copy-on-write log: sealed `Arc` segments plus a bounded
-/// mutable tail. See the module docs for the layout and COW invariants.
-///
-/// The sealed-segment spine is itself behind an `Arc`, so a clone bumps
-/// **one** refcount no matter how many segments the log has accumulated —
-/// fork cost is O(tail), with no O(prefix / seg_cap) term. The spine is
-/// copied only when a seal happens while forks share it
-/// ([`Arc::make_mut`]), amortized over the `seg_cap` pushes per seal.
-///
-/// Equality and `Debug` are *logical*: two logs with the same records
-/// compare equal regardless of how clones share their segments.
-#[derive(Clone)]
-pub struct SegLog<T> {
-    /// Sealed segments, each exactly `seg_cap` items. The spine is shared
-    /// whole on clone; segments are additionally shared individually so a
-    /// seal after a fork copies only the spine, never the records.
-    sealed: Arc<Vec<Arc<Vec<T>>>>,
-    /// Uniquely-owned mutable tail, always shorter than `seg_cap`.
-    tail: Vec<T>,
-    /// Seal threshold.
-    seg_cap: usize,
-}
-
-impl<T> SegLog<T> {
-    /// Creates an empty log sealing every `seg_cap` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg_cap` is zero.
-    pub fn new(seg_cap: usize) -> Self {
-        assert!(seg_cap > 0, "segment capacity must be positive");
-        SegLog {
-            sealed: Arc::new(Vec::new()),
-            tail: Vec::new(),
-            seg_cap,
-        }
-    }
-
-    /// Appends one item, sealing the tail into an immutable segment when it
-    /// reaches the threshold.
-    pub fn push(&mut self, item: T) {
-        self.tail.push(item);
-        if self.tail.len() == self.seg_cap {
-            let seg = std::mem::replace(&mut self.tail, Vec::with_capacity(self.seg_cap)); // simlint: allow(hot-path-alloc) — amortized: one seal per seg_cap pushes
-            Arc::make_mut(&mut self.sealed).push(Arc::new(seg)); // simlint: allow(hot-path-alloc) — amortized: one seal per seg_cap pushes
-        }
-    }
-
-    /// Total number of items.
-    pub fn len(&self) -> usize {
-        self.sealed.len() * self.seg_cap + self.tail.len()
-    }
-
-    /// `true` when nothing was appended yet.
-    pub fn is_empty(&self) -> bool {
-        self.sealed.is_empty() && self.tail.is_empty()
-    }
-
-    /// The item at `index`, if any. O(1): sealed segments all have exactly
-    /// `seg_cap` items.
-    pub fn get(&self, index: usize) -> Option<&T> {
-        let sealed_len = self.sealed.len() * self.seg_cap;
-        if index < sealed_len {
-            Some(&self.sealed[index / self.seg_cap][index % self.seg_cap])
-        } else {
-            self.tail.get(index - sealed_len)
-        }
-    }
-
-    /// The most recently appended item.
-    pub fn last(&self) -> Option<&T> {
-        self.tail
-            .last()
-            .or_else(|| self.sealed.last().and_then(|s| s.last()))
-    }
-
-    /// Iterates all items in append order.
-    pub fn iter(&self) -> SegLogIter<'_, T> {
-        SegLogIter {
-            remaining: self.len(),
-            segs: self.sealed.iter(),
-            cur: [].iter(),
-            tail: Some(&self.tail),
-        }
-    }
-
-    /// The contiguous storage slabs in order: each sealed segment, then the
-    /// tail. Concatenated they are the whole log.
-    pub(crate) fn slabs(&self) -> impl Iterator<Item = &[T]> + '_ {
-        self.sealed
-            .iter()
-            .map(|s| s.as_slice())
-            .chain(std::iter::once(self.tail.as_slice()))
-    }
-
-    /// Sealed segments (shared on clone), for index maintenance.
-    fn sealed(&self) -> &[Arc<Vec<T>>] {
-        &self.sealed
-    }
-
-    /// The mutable tail (uniquely owned).
-    fn tail(&self) -> &[T] {
-        &self.tail
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for SegLog<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl<T: PartialEq> PartialEq for SegLog<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-
-impl<T> std::ops::Index<usize> for SegLog<T> {
-    type Output = T;
-
-    fn index(&self, index: usize) -> &T {
-        self.get(index).expect("SegLog index out of bounds")
-    }
-}
-
-impl<'a, T> IntoIterator for &'a SegLog<T> {
-    type Item = &'a T;
-    type IntoIter = SegLogIter<'a, T>;
-
-    fn into_iter(self) -> SegLogIter<'a, T> {
-        self.iter()
-    }
-}
-
-impl<T: Serialize> Serialize for SegLog<T> {
-    fn to_value(&self) -> Value {
-        // Flat logical sequence: segmentation is an in-memory layout
-        // detail, rebuilt deterministically on deserialization.
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<'de, T: Deserialize<'de>> Deserialize<'de> for SegLog<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let items = Vec::<T>::from_value(value)?;
-        let mut log = SegLog::new(SEG_CAP);
-        for item in items {
-            log.push(item);
-        }
-        Ok(log)
-    }
-}
-
-/// Iterator over a [`SegLog`] in append order.
-#[derive(Debug)]
-pub struct SegLogIter<'a, T> {
-    remaining: usize,
-    segs: std::slice::Iter<'a, Arc<Vec<T>>>,
-    cur: std::slice::Iter<'a, T>,
-    tail: Option<&'a [T]>,
-}
-
-impl<'a, T> Iterator for SegLogIter<'a, T> {
-    type Item = &'a T;
-
-    fn next(&mut self) -> Option<&'a T> {
-        loop {
-            if let Some(item) = self.cur.next() {
-                self.remaining -= 1;
-                return Some(item);
-            }
-            if let Some(seg) = self.segs.next() {
-                self.cur = seg.iter();
-            } else if let Some(tail) = self.tail.take() {
-                self.cur = tail.iter();
-            } else {
-                return None;
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl<T> ExactSizeIterator for SegLogIter<'_, T> {}
 
 /// A filter over request-log records for indexed queries.
 ///
@@ -308,10 +94,10 @@ impl Csr {
     }
 }
 
-/// Per-sealed-segment query index, built once at seal time and shared
-/// (behind `Arc`) between clones exactly like the segment it describes.
+/// Per-segment query index of the [`RequestLog`], built once at seal time
+/// and shared between clones exactly like the segment it describes.
 #[derive(Debug)]
-struct SegIndex {
+pub struct RequestIndex {
     /// Completion time of the segment's first record.
     first: SimTime,
     /// Completion time of the segment's last record.
@@ -326,9 +112,9 @@ struct SegIndex {
     by_outcome: Csr,
 }
 
-impl SegIndex {
-    fn build(records: &[RequestRecord]) -> SegIndex {
-        SegIndex {
+impl SegIndex<RequestRecord> for RequestIndex {
+    fn build(records: &[RequestRecord]) -> RequestIndex {
+        RequestIndex {
             first: records.first().map_or(SimTime::ZERO, |r| r.completed_at),
             last: records.last().map_or(SimTime::ZERO, |r| r.completed_at),
             by_type: Csr::build(records, |r| r.request_type.index()),
@@ -339,7 +125,9 @@ impl SegIndex {
             by_outcome: Csr::build(records, |r| r.outcome.index()),
         }
     }
+}
 
+impl RequestIndex {
     /// Resolves `filter` against this segment's posting lists: the list to
     /// walk (`None` = every record in the segment) plus a residual outcome
     /// predicate to apply per record.
@@ -366,71 +154,34 @@ impl SegIndex {
     }
 }
 
-/// The completed-request log: a [`SegLog`] of [`RequestRecord`]s plus a
-/// per-segment [`SegIndex`] so queries touch only matching records.
+/// The completed-request log: a [`SegLog`] of [`RequestRecord`]s whose
+/// segments each carry a [`RequestIndex`], so queries touch only matching
+/// records. Derefs to the underlying [`SegLog`] for plain reads.
 ///
 /// Records are appended in completion order (the kernel records a request
 /// when its response event fires, and events fire in time order), so the
 /// log is sorted by `completed_at` — the invariant every binary search here
 /// relies on, asserted on push in debug builds.
-#[derive(Clone)]
-pub struct RequestLog {
-    records: SegLog<RequestRecord>,
-    /// `indexes[i]` describes `records`' sealed segment `i`. Behind one
-    /// `Arc` like the segment spine, so a clone is O(1) regardless of how
-    /// many segments have been indexed.
-    indexes: Arc<Vec<Arc<SegIndex>>>,
-}
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct RequestLog(SegLog<RequestRecord, RequestIndex>);
 
 impl RequestLog {
-    /// Creates an empty log with the default segment capacity.
-    pub(crate) fn new() -> Self {
-        Self::with_seg_cap(SEG_CAP)
-    }
-
     /// Creates an empty log sealing every `seg_cap` records (small caps are
     /// used by tests to exercise many segments cheaply).
-    pub(crate) fn with_seg_cap(seg_cap: usize) -> Self {
-        RequestLog {
-            records: SegLog::new(seg_cap),
-            indexes: Arc::new(Vec::new()),
-        }
+    #[cfg(test)]
+    fn with_seg_cap(seg_cap: usize) -> Self {
+        RequestLog(SegLog::with_seg_cap(seg_cap))
     }
 
     /// Appends one record; must be called in completion-time order.
     pub(crate) fn push(&mut self, rec: RequestRecord) {
         debug_assert!(
-            self.records
+            self.0
                 .last()
                 .is_none_or(|prev| prev.completed_at <= rec.completed_at),
             "request log must be appended in completion order"
         );
-        self.records.push(rec);
-        while self.indexes.len() < self.records.sealed().len() {
-            let seg = &self.records.sealed()[self.indexes.len()];
-            let index = Arc::new(SegIndex::build(seg)); // simlint: allow(hot-path-alloc) — amortized: one index per sealed segment
-            Arc::make_mut(&mut self.indexes).push(index);
-        }
-    }
-
-    /// Number of completed requests.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when no request completed yet.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The record at `index` (append order), if any.
-    pub fn get(&self, index: usize) -> Option<&RequestRecord> {
-        self.records.get(index)
-    }
-
-    /// Iterates all records in completion order.
-    pub fn iter(&self) -> SegLogIter<'_, RequestRecord> {
-        self.records.iter()
+        self.0.push(rec);
     }
 
     /// Number of records completed in `[from, to)` that pass `filter`.
@@ -476,14 +227,15 @@ impl RequestLog {
         if to <= from {
             return;
         }
-        for (seg, index) in self.records.sealed().iter().zip(self.indexes.iter()) {
+        for seg in self.0.sealed() {
+            let index = seg.index();
             if index.last < from {
                 continue;
             }
             if index.first >= to {
                 break; // segments are chronological: nothing later matches
             }
-            let recs = seg.as_slice();
+            let recs = seg.items();
             match index.plan(filter) {
                 (None, _) => {
                     let lo = recs.partition_point(|r| r.completed_at < from);
@@ -510,7 +262,7 @@ impl RequestLog {
                 }
             }
         }
-        let tail = self.records.tail();
+        let tail = self.0.tail();
         let lo = tail.partition_point(|r| r.completed_at < from);
         let hi = tail.partition_point(|r| r.completed_at < to);
         for rec in &tail[lo..hi] {
@@ -531,14 +283,15 @@ impl RequestLog {
         if to <= from {
             return counts;
         }
-        for (seg, index) in self.records.sealed().iter().zip(self.indexes.iter()) {
+        for seg in self.0.sealed() {
+            let index = seg.index();
             if index.last < from {
                 continue;
             }
             if index.first >= to {
                 break;
             }
-            let recs = seg.as_slice();
+            let recs = seg.items();
             for (k, c) in counts.iter_mut().enumerate() {
                 let offsets = index.by_outcome.group(k);
                 let lo = offsets.partition_point(|&o| recs[o as usize].completed_at < from);
@@ -546,7 +299,7 @@ impl RequestLog {
                 *c += hi - lo;
             }
         }
-        let tail = self.records.tail();
+        let tail = self.0.tail();
         let lo = tail.partition_point(|r| r.completed_at < from);
         let hi = tail.partition_point(|r| r.completed_at < to);
         for rec in &tail[lo..hi] {
@@ -569,10 +322,22 @@ impl RequestLog {
         }
         counts
     }
+}
 
-    #[cfg(test)]
-    fn sealed_segments(&self) -> &[Arc<Vec<RequestRecord>>] {
-        self.records.sealed()
+impl Deref for RequestLog {
+    type Target = SegLog<RequestRecord, RequestIndex>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a RequestLog {
+    type Item = &'a RequestRecord;
+    type IntoIter = SegLogIter<'a, RequestRecord, RequestIndex>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
     }
 }
 
@@ -592,67 +357,14 @@ impl Matched<'_> {
     }
 }
 
-impl Serialize for RequestLog {
-    fn to_value(&self) -> Value {
-        // Records only: the per-segment indexes are derived data and are
-        // rebuilt while re-appending on deserialization.
-        self.records.to_value()
-    }
-}
-
-impl<'de> Deserialize<'de> for RequestLog {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let records = Vec::<RequestRecord>::from_value(value)?;
-        let mut log = RequestLog::new();
-        for rec in records {
-            log.push(rec);
-        }
-        Ok(log)
-    }
-}
-
-impl PartialEq for RequestLog {
-    fn eq(&self, other: &Self) -> bool {
-        // The indexes are a pure function of the records; comparing the
-        // records compares everything.
-        self.records == other.records
-    }
-}
-
-impl fmt::Debug for RequestLog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Logical contents only: the derived-index structure is a pure
-        // function of the records and would just add noise (e.g. to the
-        // forked-vs-cold comparison reports in `bench_kernel --check`).
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl<'a> IntoIterator for &'a RequestLog {
-    type Item = &'a RequestRecord;
-    type IntoIter = SegLogIter<'a, RequestRecord>;
-
-    fn into_iter(self) -> SegLogIter<'a, RequestRecord> {
-        self.iter()
-    }
-}
-
-impl std::ops::Index<usize> for RequestLog {
-    type Output = RequestRecord;
-
-    fn index(&self, index: usize) -> &RequestRecord {
-        &self.records[index]
-    }
-}
-
-/// Per-sealed-segment index of the access log: the segment's time range
+/// Per-segment index of the [`AccessLog`]: the segment's time range
 /// plus CSR posting lists keyed by source IP and by session.
 ///
 /// IPs and sessions are sparse identifiers, so each segment remaps the
 /// (typically few) distinct values it contains to dense CSR keys via the
 /// sorted `ips` / `sessions` tables.
 #[derive(Debug)]
-struct AccessIndex {
+pub struct AccessIndex {
     /// Submission time of the segment's first entry.
     first: SimTime,
     /// Submission time of the segment's last entry.
@@ -667,7 +379,7 @@ struct AccessIndex {
     by_session: Csr,
 }
 
-impl AccessIndex {
+impl SegIndex<AccessLogEntry> for AccessIndex {
     fn build(entries: &[AccessLogEntry]) -> AccessIndex {
         let mut ips: Vec<u32> = entries.iter().map(|e| e.origin.ip).collect(); // simlint: allow(hot-path-alloc) — runs only at segment seal
         ips.sort_unstable();
@@ -693,70 +405,33 @@ impl AccessIndex {
 }
 
 /// The access log: a [`SegLog`] of [`AccessLogEntry`]s (one per submitted
-/// request) plus a per-segment [`AccessIndex`] keyed by source IP and
-/// session, so defense analytics (`defense::Ids`, `defense::RateShield`)
-/// touch only the entries matching their window instead of scanning the
-/// whole run.
+/// request) whose segments each carry an [`AccessIndex`] keyed by source IP
+/// and session, so defense analytics (`defense::Ids`,
+/// `defense::RateShield`) touch only the entries matching their window
+/// instead of scanning the whole run. Derefs to the underlying [`SegLog`]
+/// for plain reads.
 ///
 /// Entries are appended at submission time, and submissions happen in
 /// event order, so the log is sorted by `at` — asserted on push in debug
 /// builds; every binary search here relies on it.
-#[derive(Clone)]
-pub struct AccessLog {
-    entries: SegLog<AccessLogEntry>,
-    /// `indexes[i]` describes `entries`' sealed segment `i`. Behind one
-    /// `Arc` like the segment spine, so a clone is O(1) regardless of how
-    /// many segments have been indexed.
-    indexes: Arc<Vec<Arc<AccessIndex>>>,
-}
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct AccessLog(SegLog<AccessLogEntry, AccessIndex>);
 
 impl AccessLog {
-    /// Creates an empty log with the default segment capacity.
-    pub(crate) fn new() -> Self {
-        Self::with_seg_cap(SEG_CAP)
-    }
-
     /// Creates an empty log sealing every `seg_cap` entries (small caps are
     /// used by tests to exercise many segments cheaply).
-    pub(crate) fn with_seg_cap(seg_cap: usize) -> Self {
-        AccessLog {
-            entries: SegLog::new(seg_cap),
-            indexes: Arc::new(Vec::new()),
-        }
+    #[cfg(test)]
+    fn with_seg_cap(seg_cap: usize) -> Self {
+        AccessLog(SegLog::with_seg_cap(seg_cap))
     }
 
     /// Appends one entry; must be called in submission-time order.
     pub(crate) fn push(&mut self, entry: AccessLogEntry) {
         debug_assert!(
-            self.entries.last().is_none_or(|prev| prev.at <= entry.at),
+            self.0.last().is_none_or(|prev| prev.at <= entry.at),
             "access log must be appended in submission order"
         );
-        self.entries.push(entry);
-        while self.indexes.len() < self.entries.sealed().len() {
-            let seg = &self.entries.sealed()[self.indexes.len()];
-            let index = Arc::new(AccessIndex::build(seg)); // simlint: allow(hot-path-alloc) — amortized: one index per sealed segment
-            Arc::make_mut(&mut self.indexes).push(index);
-        }
-    }
-
-    /// Number of logged submissions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing was submitted yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entry at `index` (append order), if any.
-    pub fn get(&self, index: usize) -> Option<&AccessLogEntry> {
-        self.entries.get(index)
-    }
-
-    /// Iterates all entries in submission order.
-    pub fn iter(&self) -> SegLogIter<'_, AccessLogEntry> {
-        self.entries.iter()
+        self.0.push(entry);
     }
 
     /// Calls `f` for every entry submitted in `[from, to)`, in submission
@@ -765,19 +440,20 @@ impl AccessLog {
         if to <= from {
             return;
         }
-        for (seg, index) in self.entries.sealed().iter().zip(self.indexes.iter()) {
+        for seg in self.0.sealed() {
+            let index = seg.index();
             if index.last < from {
                 continue;
             }
             if index.first >= to {
                 return; // segments are chronological: nothing later matches
             }
-            let recs = seg.as_slice();
+            let recs = seg.items();
             let lo = recs.partition_point(|e| e.at < from);
             let hi = recs.partition_point(|e| e.at < to);
             recs[lo..hi].iter().for_each(&mut f);
         }
-        let tail = self.entries.tail();
+        let tail = self.0.tail();
         let lo = tail.partition_point(|e| e.at < from);
         let hi = tail.partition_point(|e| e.at < to);
         tail[lo..hi].iter().for_each(&mut f);
@@ -789,13 +465,13 @@ impl AccessLog {
             return 0;
         }
         let mut n = 0;
-        for (seg, _) in self.overlapping(from, to) {
-            let recs = seg.as_slice();
+        for seg in self.overlapping(from, to) {
+            let recs = seg.items();
             let lo = recs.partition_point(|e| e.at < from);
             let hi = recs.partition_point(|e| e.at < to);
             n += hi - lo;
         }
-        let tail = self.entries.tail();
+        let tail = self.0.tail();
         let lo = tail.partition_point(|e| e.at < from);
         let hi = tail.partition_point(|e| e.at < to);
         n + (hi - lo)
@@ -815,8 +491,8 @@ impl AccessLog {
         if to <= from {
             return by_ip;
         }
-        for (seg, index) in self.overlapping(from, to) {
-            let recs = seg.as_slice();
+        for seg in self.overlapping(from, to) {
+            let (recs, index) = (seg.items(), seg.index());
             for (k, &ip) in index.ips.iter().enumerate() {
                 let postings = index.by_ip.group(k);
                 let lo = postings.partition_point(|&o| recs[o as usize].at < from);
@@ -829,7 +505,7 @@ impl AccessLog {
                 }
             }
         }
-        let tail = self.entries.tail();
+        let tail = self.0.tail();
         let lo = tail.partition_point(|e| e.at < from);
         let hi = tail.partition_point(|e| e.at < to);
         for e in &tail[lo..hi] {
@@ -852,17 +528,16 @@ impl AccessLog {
         if to <= from {
             return by_session;
         }
-        let seg_cap = self.entries.seg_cap;
-        for (seg_idx, (seg, index)) in self
-            .entries
+        let seg_cap = self.0.seg_cap();
+        for (seg_idx, seg) in self
+            .0
             .sealed()
             .iter()
-            .zip(self.indexes.iter())
             .enumerate()
-            .filter(|(_, (_, index))| from <= index.last && index.first < to)
+            .filter(|(_, seg)| from <= seg.index().last && seg.index().first < to)
         {
             let base = seg_idx * seg_cap;
-            let recs = seg.as_slice();
+            let (recs, index) = (seg.items(), seg.index());
             for (k, &session) in index.sessions.iter().enumerate() {
                 let postings = index.by_session.group(k);
                 let lo = postings.partition_point(|&o| recs[o as usize].at < from);
@@ -876,8 +551,8 @@ impl AccessLog {
                 }
             }
         }
-        let base = self.entries.sealed().len() * seg_cap;
-        let tail = self.entries.tail();
+        let base = self.0.sealed().len() * seg_cap;
+        let tail = self.0.tail();
         let lo = tail.partition_point(|e| e.at < from);
         let hi = tail.partition_point(|e| e.at < to);
         for (i, e) in tail[lo..hi].iter().enumerate() {
@@ -896,7 +571,7 @@ impl AccessLog {
         if to <= from {
             return;
         }
-        for e in &self.entries {
+        for e in &self.0 {
             if e.at >= from && e.at < to {
                 f(e);
             }
@@ -937,7 +612,7 @@ impl AccessLog {
         if to <= from {
             return by_session;
         }
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, e) in self.0.iter().enumerate() {
             if e.at >= from && e.at < to {
                 by_session
                     .entry(e.origin.session)
@@ -948,69 +623,35 @@ impl AccessLog {
         by_session
     }
 
-    /// The sealed segments (with their indexes) whose time range overlaps
-    /// `[from, to)`, in chronological order.
+    /// The sealed segments whose time range overlaps `[from, to)`, in
+    /// chronological order.
     fn overlapping(
         &self,
         from: SimTime,
         to: SimTime,
-    ) -> impl Iterator<Item = (&Arc<Vec<AccessLogEntry>>, &Arc<AccessIndex>)> {
-        self.entries
+    ) -> impl Iterator<Item = &Segment<AccessLogEntry, AccessIndex>> {
+        self.0
             .sealed()
             .iter()
-            .zip(self.indexes.iter())
-            .filter(move |(_, index)| from <= index.last && index.first < to)
+            .map(|seg| &**seg)
+            .filter(move |seg| from <= seg.index().last && seg.index().first < to)
     }
 }
 
-impl Serialize for AccessLog {
-    fn to_value(&self) -> Value {
-        // Entries only: the per-segment indexes are derived data and are
-        // rebuilt while re-appending on deserialization.
-        self.entries.to_value()
-    }
-}
+impl Deref for AccessLog {
+    type Target = SegLog<AccessLogEntry, AccessIndex>;
 
-impl<'de> Deserialize<'de> for AccessLog {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = Vec::<AccessLogEntry>::from_value(value)?;
-        let mut log = AccessLog::new();
-        for e in entries {
-            log.push(e);
-        }
-        Ok(log)
-    }
-}
-
-impl PartialEq for AccessLog {
-    fn eq(&self, other: &Self) -> bool {
-        // The indexes are a pure function of the entries; comparing the
-        // entries compares everything.
-        self.entries == other.entries
-    }
-}
-
-impl fmt::Debug for AccessLog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Logical contents only, like `RequestLog`.
-        f.debug_list().entries(self.iter()).finish()
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
 }
 
 impl<'a> IntoIterator for &'a AccessLog {
     type Item = &'a AccessLogEntry;
-    type IntoIter = SegLogIter<'a, AccessLogEntry>;
+    type IntoIter = SegLogIter<'a, AccessLogEntry, AccessIndex>;
 
-    fn into_iter(self) -> SegLogIter<'a, AccessLogEntry> {
-        self.iter()
-    }
-}
-
-impl std::ops::Index<usize> for AccessLog {
-    type Output = AccessLogEntry;
-
-    fn index(&self, index: usize) -> &AccessLogEntry {
-        &self.entries[index]
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
     }
 }
 
@@ -1043,8 +684,8 @@ impl WindowLog {
         WindowLog {
             num_services,
             rows_per_seg,
-            services: SegLog::new(rows_per_seg * num_services.max(1)),
-            network: SegLog::new(rows_per_seg),
+            services: SegLog::with_seg_cap(rows_per_seg * num_services.max(1)),
+            network: SegLog::with_seg_cap(rows_per_seg),
         }
     }
 
@@ -1152,8 +793,8 @@ impl<'de> Deserialize<'de> for WindowLog {
     }
 }
 
-impl fmt::Debug for WindowLog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl std::fmt::Debug for WindowLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WindowLog")
             .field("rows", &self.rows())
             .field("services", &self.services)
@@ -1232,43 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn seglog_seals_and_preserves_order() {
-        let mut log = SegLog::new(4);
-        for i in 0..11 {
-            log.push(i);
-        }
-        assert_eq!(log.len(), 11);
-        assert_eq!(log.sealed().len(), 2);
-        assert_eq!(log.tail().len(), 3);
-        let all: Vec<i32> = log.iter().copied().collect();
-        assert_eq!(all, (0..11).collect::<Vec<_>>());
-        assert_eq!(log[4], 4);
-        assert_eq!(log.get(10), Some(&10));
-        assert_eq!(log.get(11), None);
-        assert_eq!(log.last(), Some(&10));
-        assert_eq!(log.iter().len(), 11);
-    }
-
-    #[test]
-    fn seglog_clone_shares_sealed_segments() {
-        let mut log = SegLog::new(4);
-        for i in 0..9 {
-            log.push(i);
-        }
-        let fork = log.clone();
-        assert_eq!(fork, log);
-        for (a, b) in log.sealed().iter().zip(fork.sealed()) {
-            assert!(Arc::ptr_eq(a, b), "sealed segments must be shared");
-        }
-        // Appending to the original never mutates what the fork sees.
-        log.push(100);
-        log.push(101);
-        let forked: Vec<i32> = fork.iter().copied().collect();
-        assert_eq!(forked, (0..9).collect::<Vec<_>>());
-        assert_ne!(fork, log);
-    }
-
-    #[test]
     fn request_log_fork_leaves_sealed_segments_untouched() {
         let mut log = RequestLog::with_seg_cap(4);
         for i in 0..10u64 {
@@ -1288,8 +892,12 @@ mod tests {
         );
         // ...and its sealed segments are physically shared with the
         // original (COW: appends went to fresh tails/segments only).
-        for (a, b) in fork.sealed_segments().iter().zip(log.sealed_segments()) {
-            assert!(Arc::ptr_eq(a, b), "warm prefix must be shared, not copied");
+        assert_eq!(fork.sealed().len(), 2);
+        for (a, b) in fork.sealed().iter().zip(log.sealed()) {
+            assert!(
+                std::sync::Arc::ptr_eq(a, b),
+                "warm prefix must be shared, not copied"
+            );
         }
         // Deterministic segmentation: a cold log with the same records is
         // logically equal.

@@ -11,7 +11,7 @@
 //! sweep cell — or per worker thread — is cheap.
 //!
 //! Agents participate through [`Snapshot`], which any `Clone` agent gets
-//! for free, plus a one-line [`Agent::snapshot`](crate::Agent::snapshot)
+//! for free, plus a one-line [`Agent::snapshot`]
 //! override that makes the capability visible through `dyn Agent`:
 //!
 //! ```
@@ -118,7 +118,7 @@ impl Clone for Metrics {
 ///
 /// Blanket-implemented for every agent that is `Clone + Send + Sync`; the
 /// captured state is simply a clone, which is exact by construction. Agents
-/// must *also* override [`Agent::snapshot`](crate::Agent::snapshot) (the
+/// must *also* override [`Agent::snapshot`] (the
 /// object-safe hook `Simulation::checkpoint` discovers the capability
 /// through) to return `Some(Snapshot::snapshot(self))`.
 pub trait Snapshot: Agent + Clone + Send + Sync + Sized {
@@ -221,7 +221,7 @@ impl fmt::Debug for SimSnapshot {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The agent registered at `index` does not support snapshotting (its
-    /// [`Agent::snapshot`](crate::Agent::snapshot) returned `None`).
+    /// [`Agent::snapshot`] returned `None`).
     UnsupportedAgent {
         /// Registration index of the offending agent.
         index: usize,

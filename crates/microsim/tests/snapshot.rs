@@ -6,7 +6,8 @@
 use callgraph::{RequestTypeId, ServiceSpec, Topology, TopologyBuilder};
 use microsim::agents::FixedRate;
 use microsim::{
-    BreakerPolicy, ResilienceConfig, ResiliencePolicy, RetryPolicy, SimConfig, Simulation,
+    BreakerPolicy, RequestPolicy, ResilienceConfig, ResiliencePolicy, RetryPolicy, SimConfig,
+    Simulation,
 };
 use proptest::prelude::*;
 use simnet::{SimDuration, SimTime};
@@ -356,9 +357,9 @@ fn saturated_resilient_checkpoint_forks_bit_identically() {
     })
     .set_type(
         1,
-        ResiliencePolicy {
+        RequestPolicy {
             deadline: Some(SimDuration::from_millis(500)),
-            ..ResiliencePolicy::disabled()
+            ..RequestPolicy::disabled()
         },
     );
     let mut sim = Simulation::new(

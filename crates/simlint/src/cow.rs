@@ -43,29 +43,13 @@ pub struct CowType {
     pub file: &'static str,
 }
 
-/// The workspace's registered COW spine types.
-pub const COW_TYPES: [CowType; 5] = [
-    CowType {
-        name: "SegLog",
-        file: "crates/microsim/src/seglog.rs",
-    },
-    CowType {
-        name: "RequestLog",
-        file: "crates/microsim/src/seglog.rs",
-    },
-    CowType {
-        name: "AccessLog",
-        file: "crates/microsim/src/seglog.rs",
-    },
-    CowType {
-        name: "SegSamples",
-        file: "crates/simnet/src/stats.rs",
-    },
-    CowType {
-        name: "SegStore",
-        file: "crates/simnet/src/stats.rs",
-    },
-];
+/// The workspace's registered COW spine types. Every segmented store is
+/// built on `simnet::SegLog`, so it owns the only `Arc<Vec<Arc<_>>>`
+/// spine; the stores wrapping it have no `Arc` field of their own.
+pub const COW_TYPES: [CowType; 1] = [CowType {
+    name: "SegLog",
+    file: "crates/simnet/src/seglog.rs",
+}];
 
 /// Methods that mutate a collection in place.
 const MUT_METHODS: [&str; 24] = [

@@ -1,6 +1,7 @@
 //! The intra-workspace function graph: every parsed `fn` item is a node,
 //! and call sites resolve to candidate nodes by name (and impl type, when
-//! the call is `Type::method(...)`-qualified).
+//! the call is `Type::method(...)`-qualified; a `T::method(...)` call on a
+//! type parameter resolves to every trait impl of `method`).
 //!
 //! Resolution is deliberately over-approximate — a `.push(...)` call
 //! resolves to *every* workspace method named `push` — because the lexer is
@@ -126,6 +127,18 @@ impl<'a> FnGraph<'a> {
                 .unwrap_or_default(),
             CallKind::Qualified => {
                 let q = call.qualifier.as_deref().unwrap_or("");
+                if self.item(caller).generics.iter().any(|g| g == q) {
+                    // `I::build(...)` on a type parameter dispatches through
+                    // a trait: any trait impl of that name may run.
+                    return self
+                        .by_method
+                        .get(call.name.as_str())
+                        .into_iter()
+                        .flatten()
+                        .copied()
+                        .filter(|&id| self.item(id).impl_trait.is_some())
+                        .collect();
+                }
                 let q = if q == "Self" || q == "self" {
                     self.item(caller).impl_type.as_deref().unwrap_or("")
                 } else {

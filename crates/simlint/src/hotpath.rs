@@ -65,7 +65,7 @@ pub const HOT_SEEDS: [Seed; 12] = [
     Seed {
         type_name: "SegLog",
         fn_name: "push",
-        anchor_file: "crates/microsim/src/seglog.rs",
+        anchor_file: "crates/simnet/src/seglog.rs",
     },
     Seed {
         type_name: "SegSamples",

@@ -21,6 +21,9 @@ pub struct FnItem {
     /// The trait being implemented, when the enclosing block is
     /// `impl Trait for Type`.
     pub impl_trait: Option<String>,
+    /// Type parameters in scope: the enclosing impl's, then the function's
+    /// own (`impl<T, I: Index<T>>` and `fn f<U>` give `T`, `I`, `U`).
+    pub generics: Vec<String>,
     /// `true` when the function has any `pub` visibility.
     pub is_pub: bool,
     /// 1-based line of the `fn` keyword.
@@ -38,7 +41,8 @@ pub enum CallKind {
     /// `receiver.name(...)` — resolves to any workspace method of that name.
     Method,
     /// `Qualifier::name(...)` — resolves within the qualifier type (or to a
-    /// free function when the qualifier is a lowercase module segment).
+    /// free function when the qualifier is a lowercase module segment, or
+    /// to every trait impl of `name` when it is a type parameter).
     Qualified,
     /// `name(...)` — resolves to free functions.
     Plain,
@@ -84,9 +88,8 @@ fn is_stmt_keyword(s: &str) -> bool {
 /// `#[cfg(test)]` regions already stripped).
 pub fn parse_items(toks: &[Token]) -> Vec<FnItem> {
     let mut fns = Vec::new();
-    // Stack of enclosing impl contexts: (brace depth at which the impl body
-    // opened, impl type, impl trait).
-    let mut ctx: Vec<(i32, String, Option<String>)> = Vec::new();
+    // Stack of enclosing impl contexts, innermost last.
+    let mut ctx: Vec<ImplCtx> = Vec::new();
     let mut depth = 0i32;
     let mut i = 0usize;
     while i < toks.len() {
@@ -98,7 +101,7 @@ pub fn parse_items(toks: &[Token]) -> Vec<FnItem> {
         }
         if t.is_punct('}') {
             depth -= 1;
-            while ctx.last().is_some_and(|(d, _, _)| *d > depth) {
+            while ctx.last().is_some_and(|c| c.depth > depth) {
                 ctx.pop();
             }
             i += 1;
@@ -108,7 +111,12 @@ pub fn parse_items(toks: &[Token]) -> Vec<FnItem> {
             if let Some((ty, tr, open)) = parse_impl_header(toks, i) {
                 // Register the context as of the body's opening brace; the
                 // main loop's `{` arm bumps depth when it reaches `open`.
-                ctx.push((depth + 1, ty, tr));
+                ctx.push(ImplCtx {
+                    depth: depth + 1,
+                    ty,
+                    tr,
+                    generics: type_params(toks, i + 1),
+                });
                 i = open;
                 continue;
             }
@@ -127,6 +135,18 @@ pub fn parse_items(toks: &[Token]) -> Vec<FnItem> {
         i += 1;
     }
     fns
+}
+
+/// One enclosing `impl` block.
+struct ImplCtx {
+    /// Brace depth at which the impl body opened.
+    depth: i32,
+    /// The impl's self type.
+    ty: String,
+    /// The implemented trait, if any.
+    tr: Option<String>,
+    /// The impl's type parameters.
+    generics: Vec<String>,
 }
 
 /// Parses an `impl` header at index `i` (`impl [<..>] [Trait for] Type
@@ -180,6 +200,40 @@ fn read_path_base(toks: &[Token], j: &mut usize) -> Option<String> {
     name
 }
 
+/// The names of the type parameters declared by the `<...>` group at `j`
+/// (empty when there is none): the first identifier of each top-level
+/// parameter, skipping lifetimes (const parameters count).
+fn type_params(toks: &[Token], j: usize) -> Vec<String> {
+    let mut params = Vec::new();
+    if !toks.get(j).is_some_and(|t| t.is_punct('<')) {
+        return params;
+    }
+    let end = skip_angles(toks, j).saturating_sub(1);
+    let mut nest = 0i32;
+    let mut expecting = true;
+    for k in j + 1..end {
+        let t = &toks[k];
+        if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') {
+            nest += 1;
+        } else if (t.is_punct('>') && !toks[k - 1].is_punct('-'))
+            || t.is_punct(')')
+            || t.is_punct(']')
+        {
+            nest -= 1;
+        } else if nest == 0 && t.is_punct(',') {
+            expecting = true;
+        } else if nest == 0 && expecting {
+            match t.ident() {
+                Some("const") => continue, // `const N: usize`: N is next
+                Some(id) => params.push(id.to_string()),
+                None => {}
+            }
+            expecting = false;
+        }
+    }
+    params
+}
+
 /// Skips a balanced `<...>` group starting at `j`, if one is there.
 fn skip_angles(toks: &[Token], j: usize) -> usize {
     if !toks.get(j).is_some_and(|t| t.is_punct('<')) {
@@ -220,14 +274,14 @@ fn find_body_open(toks: &[Token], j: usize) -> Option<usize> {
 /// Parses one `fn` item whose `fn` keyword is at index `i`; returns the item
 /// and the index one past its body (or one past the `;` for body-less
 /// declarations, returned as `None` item-wise only when nothing parses).
-fn parse_fn(
-    toks: &[Token],
-    i: usize,
-    ctx: Option<&(i32, String, Option<String>)>,
-) -> Option<(FnItem, usize)> {
+fn parse_fn(toks: &[Token], i: usize, ctx: Option<&ImplCtx>) -> Option<(FnItem, usize)> {
     let name = toks.get(i + 1).and_then(Token::ident)?.to_string();
     let line = toks[i].line;
     let is_pub = fn_is_pub(toks, i);
+    let impl_type = ctx.map(|c| c.ty.clone());
+    let impl_trait = ctx.and_then(|c| c.tr.clone());
+    let mut generics = ctx.map_or_else(Vec::new, |c| c.generics.clone());
+    generics.extend(type_params(toks, i + 2));
     // Find the parameter list, skipping generics on the name.
     let mut j = skip_angles(toks, i + 2);
     if !toks.get(j).is_some_and(|t| t.is_punct('(')) {
@@ -240,8 +294,9 @@ fn parse_fn(
         return Some((
             FnItem {
                 name,
-                impl_type: ctx.map(|(_, t, _)| t.clone()),
-                impl_trait: ctx.and_then(|(_, _, tr)| tr.clone()),
+                impl_type,
+                impl_trait,
+                generics,
                 is_pub,
                 line,
                 body: (0, 0),
@@ -256,8 +311,9 @@ fn parse_fn(
     Some((
         FnItem {
             name,
-            impl_type: ctx.map(|(_, t, _)| t.clone()),
-            impl_trait: ctx.and_then(|(_, _, tr)| tr.clone()),
+            impl_type,
+            impl_trait,
+            generics,
             is_pub,
             line,
             body,
@@ -462,6 +518,25 @@ impl<'a> core::fmt::Display for Wrapper<'a> {
         assert_eq!(fns[0].impl_trait, None);
         assert_eq!(fns[1].impl_type.as_deref(), Some("Wrapper"));
         assert_eq!(fns[1].impl_trait.as_deref(), Some("Display"));
+    }
+
+    #[test]
+    fn type_parameters_of_impl_and_fn_are_in_scope() {
+        let src = r"
+impl<'a, T: Ord + Into<u64>, I: Index<T> = (), const N: usize> Log<'a, T, I> {
+    fn seal<U, F: Fn(&T) -> U>(&mut self, f: F) { I::build(&self.tail) }
+}
+fn free(x: u32) {}
+";
+        let fns = items(src);
+        assert_eq!(fns[0].generics, ["T", "I", "N", "U", "F"]);
+        assert!(fns[1].generics.is_empty());
+        let call = &fns[0].calls[0];
+        assert_eq!(
+            (call.name.as_str(), call.kind),
+            ("build", CallKind::Qualified)
+        );
+        assert_eq!(call.qualifier.as_deref(), Some("I"));
     }
 
     #[test]

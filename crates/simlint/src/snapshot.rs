@@ -54,17 +54,18 @@ pub const TARGETS: [SnapshotTarget<'static>; 9] = [
         struct_file: "crates/microsim/src/metrics.rs",
         clone_file: "crates/microsim/src/snapshot.rs",
     },
-    // The copy-on-write sample stores are the agents' snapshot payload: an
-    // agent fork shares sealed segments and copies only the mutable tail.
-    // A field added to either store but missed by its manual `Clone` would
-    // silently reset on every fork.
+    // The copy-on-write segmented log is every fork's payload (metrics
+    // logs, agent sample journals) and the sample store built on it: a fork
+    // shares sealed segments and copies only the mutable tail. A field
+    // added to either but missed by its manual `Clone` would silently reset
+    // on every fork.
     SnapshotTarget {
-        struct_name: "SegSamples",
-        struct_file: "crates/simnet/src/stats.rs",
-        clone_file: "crates/simnet/src/stats.rs",
+        struct_name: "SegLog",
+        struct_file: "crates/simnet/src/seglog.rs",
+        clone_file: "crates/simnet/src/seglog.rs",
     },
     SnapshotTarget {
-        struct_name: "SegStore",
+        struct_name: "SegSamples",
         struct_file: "crates/simnet/src/stats.rs",
         clone_file: "crates/simnet/src/stats.rs",
     },

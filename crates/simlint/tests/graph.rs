@@ -259,3 +259,55 @@ fn fn_graph_resolves_qualified_and_method_calls() {
     let names: Vec<String> = hot.keys().map(|&id| g.qualified_name(id)).collect();
     assert_eq!(names, ["A::go", "A::helper", "A::finish", "free"]);
 }
+
+#[test]
+fn a_call_on_a_type_parameter_reaches_every_trait_impl_of_that_name() {
+    // `SegLog::push` seals through `I::build(...)`: the lexer cannot know
+    // which index type `I` is, so the call must reach every trait impl of
+    // `build` (and no inherent `build`), or seal-time allocations would
+    // drop out of the hot set.
+    let m = model(
+        &[(
+            "crates/demo/src/lib.rs",
+            r"
+            trait Index<T> { fn build(items: &[T]) -> Self; }
+            struct Log<T, I> { tail: Vec<T>, index: I }
+            impl<T, I: Index<T>> Log<T, I> {
+                pub fn push(&mut self) { self.index = I::build(&self.tail); }
+            }
+            struct Sorted(Vec<u64>);
+            impl Index<u64> for Sorted {
+                fn build(items: &[u64]) -> Self { Sorted(items.to_vec()) }
+            }
+            struct Graph;
+            impl Graph {
+                fn build() -> Graph { let v: Vec<u8> = Vec::new(); Graph }
+            }
+            ",
+        )],
+        &[],
+    );
+    let g = FnGraph::build(&m.files);
+    let (hot, missing) = g.hot_set(&[("Log", "push")]);
+    assert!(missing.is_empty());
+    let names: Vec<String> = hot.keys().map(|&id| g.qualified_name(id)).collect();
+    assert_eq!(names, ["Log::push", "Sorted::build"]);
+    let diags = run_hotpath(
+        &m,
+        &[Seed {
+            type_name: "Log",
+            fn_name: "push",
+            anchor_file: "crates/demo/src/lib.rs",
+        }],
+    );
+    assert_eq!(
+        diags.len(),
+        1,
+        "only the trait impl's copy fires: {diags:?}"
+    );
+    assert!(
+        diags[0].message.contains("`.to_vec()`") && diags[0].message.contains("Log::push"),
+        "got: {}",
+        diags[0].message
+    );
+}

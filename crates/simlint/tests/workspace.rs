@@ -48,11 +48,8 @@ fn lint_with_patched_file(path: &str, patch: impl Fn(&str) -> String) -> Vec<Str
 
 #[test]
 fn stripping_make_mut_from_a_spine_mutation_is_caught() {
-    let diags = lint_with_patched_file("crates/microsim/src/seglog.rs", |src| {
-        src.replace(
-            "Arc::make_mut(&mut self.sealed).push(Arc::new(seg));",
-            "self.sealed.push(Arc::new(seg));",
-        )
+    let diags = lint_with_patched_file("crates/simnet/src/seglog.rs", |src| {
+        src.replace("Arc::make_mut(&mut self.sealed).push(", "self.sealed.push(")
     });
     assert!(
         diags
@@ -64,10 +61,10 @@ fn stripping_make_mut_from_a_spine_mutation_is_caught() {
 
 #[test]
 fn get_mut_on_a_spine_is_caught() {
-    let diags = lint_with_patched_file("crates/simnet/src/stats.rs", |src| {
+    let diags = lint_with_patched_file("crates/simnet/src/seglog.rs", |src| {
         src.replace(
-            "std::sync::Arc::make_mut(&mut self.sealed).push(seg);",
-            "std::sync::Arc::get_mut(&mut self.sealed).unwrap().push(seg);",
+            "Arc::make_mut(&mut self.sealed).push(",
+            "Arc::get_mut(&mut self.sealed).unwrap().push(",
         )
     });
     assert!(
@@ -191,8 +188,8 @@ fn deleting_a_seg_samples_field_clone_line_is_caught() {
 }
 
 #[test]
-fn deleting_a_seg_store_field_clone_line_is_caught() {
-    let diags = check_with_deleted_line("SegStore", "seg_cap: self.seg_cap");
+fn deleting_a_seg_log_field_clone_line_is_caught() {
+    let diags = check_with_deleted_line("SegLog", "seg_cap: self.seg_cap");
     assert!(
         diags
             .iter()
@@ -242,6 +239,25 @@ fn deleting_a_breaker_bank_field_clone_line_is_caught() {
             .iter()
             .any(|d| d.contains("[snapshot-complete]") && d.contains("`states`")),
         "expected a snapshot-complete finding for `states`, got: {diags:?}"
+    );
+}
+
+#[test]
+fn injecting_an_allocation_into_a_seal_time_index_build_is_caught() {
+    // The request index is built only through `SegLog::push`'s generic
+    // `I::build(...)` call; this proves that call keeps it in the hot set.
+    let diags = lint_with_patched_file("crates/microsim/src/seglog.rs", |src| {
+        src.replace(
+            "    fn build(records: &[RequestRecord]) -> RequestIndex {",
+            "    fn build(records: &[RequestRecord]) -> RequestIndex {\n        let label = format!(\"{}\", records.len());\n        drop(label);",
+        )
+    });
+    assert!(
+        diags.iter().any(|d| d.contains("[hot-path-alloc]")
+            && d.contains("`format!`")
+            && d.contains("SegLog::push")
+            && d.contains("seglog.rs")),
+        "expected a hot-path-alloc finding in the seal-time index build, got: {diags:?}"
     );
 }
 

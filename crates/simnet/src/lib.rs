@@ -33,11 +33,13 @@
 pub mod alias;
 pub mod event;
 pub mod rng;
+pub mod seglog;
 pub mod stats;
 pub mod time;
 
 pub use alias::AliasTable;
 pub use event::{EventQueue, HeapEventQueue};
 pub use rng::{derive_seed, exp_from_unit, lognormal_mean_cv_from_z, RngStream};
-pub use stats::{Histogram, SampleSet, SegSamples, SegStore, Welford, SAMPLE_SEG_CAP};
+pub use seglog::{SegIndex, SegLog, SegLogIter, Segment, SEG_CAP};
+pub use stats::{Histogram, SampleSet, SegSamples, SortedRun, Welford};
 pub use time::{SimDuration, SimTime};

@@ -1,19 +1,19 @@
 //! Online statistics used throughout the workspace.
 //!
-//! Three collectors cover the needs of monitors, the analytic model and the
+//! Four collectors cover the needs of monitors, the analytic model and the
 //! experiment harness:
 //!
 //! * [`Welford`] — numerically stable streaming mean/variance, O(1) memory.
 //! * [`SampleSet`] — keeps every sample for exact percentiles; used for
 //!   response-time distributions where exactness matters (the paper reports
 //!   p95 latencies).
-//! * [`SegSamples`] — copy-on-write [`SampleSet`]: sealed `Arc`-shared
-//!   segments plus a bounded mutable tail, so snapshot/fork cost is
-//!   O(tail) while means and exact percentiles stay bit-identical.
-//! * [`SegStore`] — the same copy-on-write layout for arbitrary
-//!   append-only records (agent sample journals).
+//! * [`SegSamples`] — copy-on-write [`SampleSet`] over a [`SegLog`] whose
+//!   segments are sorted at seal time, so snapshot/fork cost is O(tail)
+//!   while means and exact percentiles stay bit-identical.
 //! * [`Histogram`] — fixed-bin counts for memory-bounded percentile
 //!   estimates over very long runs.
+
+use crate::seglog::{SegIndex, SegLog};
 
 /// Streaming mean / variance via Welford's algorithm.
 ///
@@ -248,35 +248,36 @@ impl FromIterator<f64> for SampleSet {
     }
 }
 
-/// Default segment capacity for [`SegSamples`] and [`SegStore`].
-///
-/// Smaller than `microsim::seglog::SEG_CAP` because sample stores are
-/// cloned on every fork: the mutable tail (the only part that is deep
-/// copied) stays under 8 KiB of `f64`s.
-pub const SAMPLE_SEG_CAP: usize = 1024;
+/// The seal-time index of a [`SegSamples`] segment: its samples sorted
+/// ascending. The sort is stable, so ties keep insertion order — exactly
+/// what `SampleSet`'s lazy full sort does.
+#[derive(Debug, PartialEq)]
+pub struct SortedRun(Vec<f64>);
 
-/// One sealed, immutable segment of a [`SegSamples`] store.
-///
-/// Holds the samples both in insertion order (for order-sensitive mean
-/// accumulation) and sorted (computed once at seal time, for percentile
-/// merges). Sealed segments are shared by `Arc`, so cloning the store
-/// never copies them.
-#[derive(Debug)]
-struct SampleSeg {
-    /// Samples in insertion order.
-    data: Vec<f64>,
-    /// The same samples sorted ascending (stable sort, so ties keep
-    /// insertion order — exactly what `SampleSet`'s lazy full sort does).
-    sorted: Vec<f64>,
+impl SortedRun {
+    /// The sorted samples.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.0
+    }
+}
+
+impl SegIndex<f64> for SortedRun {
+    fn build(items: &[f64]) -> Self {
+        let mut sorted = items.to_vec(); // simlint: allow(hot-path-alloc) — amortized: one sort copy per seal
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+        SortedRun(sorted)
+    }
 }
 
 /// Copy-on-write exact percentile collector.
 ///
 /// Drop-in replacement for [`SampleSet`] in long-lived agents: samples are
-/// stored in immutable `Arc`-shared sealed segments of [`SAMPLE_SEG_CAP`]
-/// entries plus one bounded mutable tail, so cloning the store (the
-/// dominant agent cost of `Simulation::checkpoint`/fork) is O(tail)
-/// regardless of how many samples the warm prefix accumulated.
+/// stored in a [`SegLog`] (immutable `Arc`-shared sealed segments of
+/// [`SEG_CAP`](crate::SEG_CAP) entries plus one bounded mutable tail), so
+/// cloning the store (the dominant agent cost of
+/// `Simulation::checkpoint`/fork) is O(tail) regardless of how many samples
+/// the warm prefix accumulated. Each segment's [`SortedRun`] is sorted
+/// once, when it seals.
 ///
 /// Statistics are bit-identical to `SampleSet` over the same insertion
 /// sequence: `mean` folds in insertion order, `max` replicates the
@@ -298,21 +299,15 @@ struct SampleSeg {
 /// let fork = s.clone(); // O(tail): sealed segments are Arc-shared
 /// assert_eq!(fork.len(), 100);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SegSamples {
-    /// Sealed immutable segments, shared between clones. The spine `Arc`
-    /// makes a clone a single refcount bump regardless of segment count;
-    /// sealing while forks share the spine copies only the spine
-    /// (`Arc::make_mut`), never the samples.
-    sealed: std::sync::Arc<Vec<std::sync::Arc<SampleSeg>>>,
-    /// Mutable tail, strictly shorter than `seg_cap`; deep-copied on clone.
-    tail: Vec<f64>,
-    /// Cached stable sort of `tail`; valid when `!tail_dirty`.
+    /// The samples in insertion order, each sealed segment indexed by its
+    /// stable sort.
+    log: SegLog<f64, SortedRun>,
+    /// Cached stable sort of the log's tail; valid when `!tail_dirty`.
     tail_sorted: Vec<f64>,
     /// Set by `push`, cleared when `tail_sorted` is rebuilt.
     tail_dirty: bool,
-    /// Segment capacity (constant per store).
-    seg_cap: usize,
 }
 
 // Manual per-field impl (not derived) so simlint's snapshot-complete rule
@@ -320,24 +315,17 @@ pub struct SegSamples {
 impl Clone for SegSamples {
     fn clone(&self) -> Self {
         SegSamples {
-            sealed: self.sealed.clone(),
-            tail: self.tail.clone(),
+            log: self.log.clone(),
             tail_sorted: self.tail_sorted.clone(),
             tail_dirty: self.tail_dirty,
-            seg_cap: self.seg_cap,
         }
-    }
-}
-
-impl Default for SegSamples {
-    fn default() -> Self {
-        SegSamples::new()
     }
 }
 
 impl PartialEq for SegSamples {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
+        // Logical: the sample sequences. The tail-sort cache is derived.
+        self.log == other.log
     }
 }
 
@@ -379,7 +367,7 @@ impl Ord for MergeCursor {
 impl SegSamples {
     /// Creates an empty store with the default segment capacity.
     pub fn new() -> Self {
-        SegSamples::with_seg_cap(SAMPLE_SEG_CAP)
+        SegSamples::default()
     }
 
     /// Creates an empty store sealing segments at `seg_cap` samples.
@@ -388,35 +376,18 @@ impl SegSamples {
     ///
     /// Panics if `seg_cap` is zero.
     pub fn with_seg_cap(seg_cap: usize) -> Self {
-        assert!(seg_cap > 0, "segment capacity must be positive");
         SegSamples {
-            sealed: std::sync::Arc::new(Vec::new()),
-            tail: Vec::new(),
+            log: SegLog::with_seg_cap(seg_cap),
             tail_sorted: Vec::new(),
             tail_dirty: false,
-            seg_cap,
         }
     }
 
-    /// Adds one sample, sealing the tail into an immutable segment when it
-    /// reaches the segment capacity. Segmentation is a pure function of the
-    /// sample count, so forked and cold stores are structurally identical.
+    /// Adds one sample. Segmentation is a pure function of the sample
+    /// count, so forked and cold stores are structurally identical.
     pub fn push(&mut self, x: f64) {
-        self.tail.push(x);
+        self.log.push(x);
         self.tail_dirty = true;
-        if self.tail.len() == self.seg_cap {
-            self.seal_tail();
-        }
-    }
-
-    fn seal_tail(&mut self) {
-        let data = std::mem::replace(&mut self.tail, Vec::with_capacity(self.seg_cap)); // simlint: allow(hot-path-alloc) — amortized: one seal per seg_cap pushes
-        let mut sorted = data.clone(); // simlint: allow(hot-path-alloc) — amortized: one sort copy per seal
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-        let seg = std::sync::Arc::new(SampleSeg { data, sorted }); // simlint: allow(hot-path-alloc) — amortized: one seal per seg_cap pushes
-        std::sync::Arc::make_mut(&mut self.sealed).push(seg);
-        self.tail_sorted.clear();
-        self.tail_dirty = false;
     }
 
     /// Appends all of `other`'s samples in `other`'s insertion order.
@@ -426,20 +397,17 @@ impl SegSamples {
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.sealed.len() * self.seg_cap + self.tail.len()
+        self.log.len()
     }
 
     /// `true` when no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.sealed.is_empty() && self.tail.is_empty()
+        self.log.is_empty()
     }
 
     /// All samples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.sealed
-            .iter()
-            .flat_map(|seg| seg.data.iter().copied())
-            .chain(self.tail.iter().copied())
+        self.log.iter().copied()
     }
 
     /// Arithmetic mean, folded in insertion order; `0.0` when empty.
@@ -478,15 +446,16 @@ impl SegSamples {
         assert!(rank < n, "rank {rank} out of range for {n} samples");
         if self.tail_dirty {
             self.tail_sorted.clear();
-            self.tail_sorted.extend_from_slice(&self.tail);
+            self.tail_sorted.extend_from_slice(self.log.tail());
             self.tail_sorted
                 .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
             self.tail_dirty = false;
         }
         let runs: Vec<&[f64]> = self
-            .sealed
+            .log
+            .sealed()
             .iter()
-            .map(|seg| seg.sorted.as_slice())
+            .map(|seg| seg.index().as_slice())
             .chain(std::iter::once(self.tail_sorted.as_slice()))
             .collect();
         if rank <= (n - 1) / 2 {
@@ -570,10 +539,7 @@ impl SegSamples {
 
     /// Removes all samples.
     pub fn clear(&mut self) {
-        // Fresh spine rather than `make_mut` + clear: forks sharing the old
-        // spine keep it untouched.
-        self.sealed = std::sync::Arc::new(Vec::new()); // simlint: allow(hot-path-alloc) — reset path, not the per-sample path
-        self.tail.clear();
+        self.log.clear();
         self.tail_sorted.clear();
         self.tail_dirty = false;
     }
@@ -590,137 +556,6 @@ impl Extend<f64> for SegSamples {
 impl FromIterator<f64> for SegSamples {
     fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
         let mut s = SegSamples::new();
-        s.extend(iter);
-        s
-    }
-}
-
-/// Generic copy-on-write append-only store.
-///
-/// The non-statistical sibling of [`SegSamples`]: immutable `Arc`-shared
-/// sealed segments plus one bounded mutable tail, so cloning is O(tail).
-/// Used for per-agent sample journals (e.g. `ClosedLoopUsers`' timestamped
-/// latency pairs) that previously deep-copied a `Vec` on every fork.
-#[derive(Debug)]
-pub struct SegStore<T> {
-    /// Sealed immutable segments, shared between clones. Spine behind one
-    /// `Arc` so a clone is O(1) in the segment count (see [`SegSamples`]).
-    sealed: std::sync::Arc<Vec<std::sync::Arc<Vec<T>>>>,
-    /// Mutable tail, strictly shorter than `seg_cap`; deep-copied on clone.
-    tail: Vec<T>,
-    /// Segment capacity (constant per store).
-    seg_cap: usize,
-}
-
-// Manual per-field impl (not derived) so simlint's snapshot-complete rule
-// can verify every field is carried across a fork.
-impl<T: Clone> Clone for SegStore<T> {
-    fn clone(&self) -> Self {
-        SegStore {
-            sealed: self.sealed.clone(),
-            tail: self.tail.clone(),
-            seg_cap: self.seg_cap,
-        }
-    }
-}
-
-impl<T> Default for SegStore<T> {
-    fn default() -> Self {
-        SegStore::new()
-    }
-}
-
-impl<T: PartialEq> PartialEq for SegStore<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
-    }
-}
-
-impl<T> SegStore<T> {
-    /// Creates an empty store with the default segment capacity.
-    pub fn new() -> Self {
-        SegStore::with_seg_cap(SAMPLE_SEG_CAP)
-    }
-
-    /// Creates an empty store sealing segments at `seg_cap` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg_cap` is zero.
-    pub fn with_seg_cap(seg_cap: usize) -> Self {
-        assert!(seg_cap > 0, "segment capacity must be positive");
-        SegStore {
-            sealed: std::sync::Arc::new(Vec::new()),
-            tail: Vec::new(),
-            seg_cap,
-        }
-    }
-
-    /// Appends one item, sealing the tail when it reaches capacity.
-    /// Segmentation depends only on the item count, so forked and cold
-    /// stores are structurally identical.
-    pub fn push(&mut self, item: T) {
-        self.tail.push(item);
-        if self.tail.len() == self.seg_cap {
-            let seg = std::mem::replace(&mut self.tail, Vec::with_capacity(self.seg_cap)); // simlint: allow(hot-path-alloc) — amortized: one seal per seg_cap pushes
-            std::sync::Arc::make_mut(&mut self.sealed).push(std::sync::Arc::new(seg));
-        }
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.sealed.len() * self.seg_cap + self.tail.len()
-    }
-
-    /// `true` when no items were stored.
-    pub fn is_empty(&self) -> bool {
-        self.sealed.is_empty() && self.tail.is_empty()
-    }
-
-    /// All items in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.sealed
-            .iter()
-            .flat_map(|seg| seg.iter())
-            .chain(self.tail.iter())
-    }
-
-    /// The most recently pushed item.
-    pub fn last(&self) -> Option<&T> {
-        self.tail
-            .last()
-            .or_else(|| self.sealed.last().and_then(|seg| seg.last()))
-    }
-
-    /// Removes all items.
-    pub fn clear(&mut self) {
-        // Fresh spine rather than `make_mut` + clear: forks sharing the old
-        // spine keep it untouched.
-        self.sealed = std::sync::Arc::new(Vec::new()); // simlint: allow(hot-path-alloc) — reset path, not the per-item path
-        self.tail.clear();
-    }
-}
-
-impl<'a, T> IntoIterator for &'a SegStore<T> {
-    type Item = &'a T;
-    type IntoIter = Box<dyn Iterator<Item = &'a T> + 'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
-    }
-}
-
-impl<T> Extend<T> for SegStore<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for item in iter {
-            self.push(item);
-        }
-    }
-}
-
-impl<T> FromIterator<T> for SegStore<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut s = SegStore::new();
         s.extend(iter);
         s
     }
@@ -830,6 +665,30 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seg_store_keeps_insertion_order_and_shares_segments() {
+        let mut s: SegLog<(i32, i32)> = SegLog::with_seg_cap(4);
+        for i in 0..11 {
+            s.push((i, i * 2));
+        }
+        assert_eq!(s.len(), 11);
+        assert_eq!(s.last(), Some(&(10, 20)));
+        let items: Vec<(i32, i32)> = s.iter().copied().collect();
+        assert_eq!(items, (0..11).map(|i| (i, i * 2)).collect::<Vec<_>>());
+        let fork = s.clone();
+        assert_eq!(fork, s);
+        for (a, b) in s.sealed().iter().zip(fork.sealed()) {
+            assert!(std::sync::Arc::ptr_eq(a, b));
+        }
+        let mut t: SegLog<(i32, i32)> = SegLog::new();
+        assert!(t.is_empty());
+        assert_eq!(t.last(), None);
+        t.extend(s.iter().copied());
+        assert_eq!(t, s);
+        t.clear();
+        assert!(t.is_empty());
+    }
 
     #[test]
     fn welford_mean_and_variance() {
@@ -1016,8 +875,8 @@ mod tests {
         }
         let fork = s.clone();
         assert_eq!(fork, s);
-        assert_eq!(s.sealed.len(), 2);
-        for (a, b) in s.sealed.iter().zip(fork.sealed.iter()) {
+        assert_eq!(s.log.sealed().len(), 2);
+        for (a, b) in s.log.sealed().iter().zip(fork.log.sealed()) {
             assert!(std::sync::Arc::ptr_eq(a, b));
         }
     }
@@ -1052,29 +911,5 @@ mod tests {
         seg.clear();
         assert!(seg.is_empty());
         assert_eq!(seg.percentile(0.5), 0.0);
-    }
-
-    #[test]
-    fn seg_store_keeps_insertion_order_and_shares_segments() {
-        let mut s = SegStore::with_seg_cap(4);
-        for i in 0..11 {
-            s.push((i, i * 2));
-        }
-        assert_eq!(s.len(), 11);
-        assert_eq!(s.last(), Some(&(10, 20)));
-        let items: Vec<(i32, i32)> = s.iter().copied().collect();
-        assert_eq!(items, (0..11).map(|i| (i, i * 2)).collect::<Vec<_>>());
-        let fork = s.clone();
-        assert_eq!(fork, s);
-        for (a, b) in s.sealed.iter().zip(fork.sealed.iter()) {
-            assert!(std::sync::Arc::ptr_eq(a, b));
-        }
-        let mut t: SegStore<(i32, i32)> = SegStore::new();
-        assert!(t.is_empty());
-        assert_eq!(t.last(), None);
-        t.extend(s.iter().copied());
-        assert_eq!(t, s);
-        t.clear();
-        assert!(t.is_empty());
     }
 }

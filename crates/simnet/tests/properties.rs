@@ -1,10 +1,37 @@
 //! Property-based tests of the simulation kernel's invariants.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use simnet::{
-    derive_seed, EventQueue, HeapEventQueue, RngStream, SampleSet, SegSamples, SimDuration,
-    SimTime, Welford,
+    derive_seed, EventQueue, HeapEventQueue, RngStream, SampleSet, SegIndex, SegLog, SegSamples,
+    SimDuration, SimTime, SortedRun, Welford,
 };
+
+/// Checks a segmented log against its flat `Vec` model: length, layout
+/// (full sealed segments plus the tail), every read path, and every sealed
+/// segment's seal-time index against a fresh build over its items.
+fn check_seg_log(log: &SegLog<f64, SortedRun>, model: &[f64]) -> Result<(), TestCaseError> {
+    let cap = log.seg_cap();
+    prop_assert_eq!(log.len(), model.len());
+    prop_assert_eq!(log.is_empty(), model.is_empty());
+    prop_assert_eq!(log.sealed().len(), model.len() / cap);
+    prop_assert_eq!(log.tail(), &model[model.len() / cap * cap..]);
+    prop_assert_eq!(log.iter().len(), model.len());
+    prop_assert_eq!(log.iter().copied().collect::<Vec<_>>(), model.to_vec());
+    for (i, x) in model.iter().enumerate() {
+        prop_assert_eq!(log[i], *x);
+        prop_assert_eq!(log.get(i), Some(x));
+    }
+    prop_assert_eq!(log.get(model.len()), None);
+    prop_assert_eq!(log.last(), model.last());
+    for seg in log.sealed() {
+        prop_assert_eq!(seg.items().len(), cap);
+        prop_assert_eq!(seg.index(), &SortedRun::build(seg.items()));
+    }
+    Ok(())
+}
 
 proptest! {
     /// Differential test: the timing-wheel queue and the reference
@@ -252,6 +279,56 @@ proptest! {
         prop_assert_eq!(parent.percentile(0.5), flat_after.percentile(0.5));
         prop_assert_eq!(fork.percentile(1.0), flat_before.percentile(1.0));
         prop_assert_eq!(parent.percentile(1.0), flat_after.percentile(1.0));
+    }
+
+    /// The copy-on-write segmented log against a `Vec` model: push a
+    /// random prefix, fork, then push different suffixes to both sides.
+    /// Each side keeps matching its own model (reads, layout, seal-time
+    /// indexes), every segment sealed before the fork stays physically
+    /// shared by both, and clearing one side leaves the other intact.
+    #[test]
+    fn seg_log_matches_vec_model_across_forks(
+        before in prop::collection::vec(-1e6f64..1e6, 0..60),
+        parent_after in prop::collection::vec(-1e6f64..1e6, 0..40),
+        fork_after in prop::collection::vec(-1e6f64..1e6, 0..40),
+        seg_cap in 1usize..9,
+    ) {
+        let mut parent: SegLog<f64, SortedRun> = SegLog::with_seg_cap(seg_cap);
+        prop_assert!(parent.is_empty());
+        prop_assert_eq!(parent.last(), None);
+        let mut parent_model = Vec::new();
+        for &x in &before {
+            parent.push(x);
+            parent_model.push(x);
+        }
+        let mut fork = parent.clone();
+        prop_assert_eq!(&fork, &parent);
+        let shared: Vec<_> = parent.sealed().to_vec();
+        let mut fork_model = parent_model.clone();
+        for &x in &parent_after {
+            parent.push(x);
+            parent_model.push(x);
+        }
+        fork.extend(fork_after.iter().copied());
+        fork_model.extend_from_slice(&fork_after);
+        for (log, model) in [(&parent, &parent_model), (&fork, &fork_model)] {
+            check_seg_log(log, model)?;
+            for (old, now) in shared.iter().zip(log.sealed()) {
+                prop_assert!(Arc::ptr_eq(old, now), "pre-fork segments must stay shared");
+            }
+        }
+        prop_assert_eq!(parent == fork, parent_model == fork_model);
+        // Equality is logical: a log rebuilt item by item, at this or the
+        // default segment capacity, equals the original.
+        let mut rebuilt = SegLog::with_seg_cap(seg_cap);
+        rebuilt.extend(parent.iter().copied());
+        prop_assert_eq!(&rebuilt, &parent);
+        let cold: SegLog<f64, SortedRun> = parent_model.iter().copied().collect();
+        prop_assert_eq!(&cold, &parent);
+        fork.clear();
+        prop_assert!(fork.is_empty());
+        check_seg_log(&fork, &[])?;
+        check_seg_log(&parent, &parent_model)?;
     }
 
     /// RNG streams derived from the same (seed, label) are identical;

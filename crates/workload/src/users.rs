@@ -34,7 +34,7 @@
 //!    think; an abandoning user browses on as if the request had
 //!    succeeded, but records no latency sample.
 //!
-//! The engine prefetches this stream in [`UNIT_BATCH`]-draw blocks via
+//! The engine prefetches this stream in `UNIT_BATCH`-draw blocks via
 //! [`RngStream::fill_unit`], which is documented to be bit-identical to
 //! per-call draws — so batching changes no outcome, only the per-draw
 //! cost. Relative to the pre-arena implementation, the *mapping* of
@@ -48,7 +48,7 @@ use std::sync::Arc;
 
 use callgraph::RequestTypeId;
 use microsim::{Agent, Origin, Outcome, Response, SimCtx};
-use simnet::{exp_from_unit, AliasTable, RngStream, SegStore, SimDuration, SimTime, Welford};
+use simnet::{exp_from_unit, AliasTable, RngStream, SegLog, SimDuration, SimTime, Welford};
 
 use crate::arena::{think_tick_micros, ThinkArena};
 
@@ -220,7 +220,7 @@ impl BrowsingModel {
 /// * sleeping users are parked in a [`ThinkArena`]: one kernel wakeup per
 ///   occupied think bucket, users stepped in slot order when it fires —
 ///   pending wheel events are O(occupied buckets), not O(users).
-/// * RNG work is batched: uniforms are prefetched in [`UNIT_BATCH`] blocks
+/// * RNG work is batched: uniforms are prefetched in `UNIT_BATCH` blocks
 ///   and mapped through precomputed alias tables / the pure exponential
 ///   tail (see the module docs for the pinned stream layout).
 ///
@@ -248,7 +248,7 @@ pub struct ClosedLoopUsers {
     /// Raw (completion time, latency ms) samples for windowed series.
     /// Copy-on-write so snapshotting the population is O(tail), not
     /// O(completed requests).
-    samples: SegStore<(SimTime, f64)>,
+    samples: SegLog<(SimTime, f64)>,
     /// Collect raw samples only after this time (lets experiments exclude
     /// warm-up).
     record_after: SimTime,
@@ -314,7 +314,7 @@ impl ClosedLoopUsers {
             arena: ThinkArena::new(think_tick_micros(think_mean_s), n),
             wake_scratch: Vec::new(),
             latency: Welford::new(),
-            samples: SegStore::new(),
+            samples: SegLog::new(),
             record_after: SimTime::ZERO,
             retry_prob: 0.0,
             user_retries: 0,
@@ -380,7 +380,7 @@ impl ClosedLoopUsers {
 
     /// Raw `(completed_at, latency_ms)` samples recorded after the
     /// configured threshold.
-    pub fn samples(&self) -> &SegStore<(SimTime, f64)> {
+    pub fn samples(&self) -> &SegLog<(SimTime, f64)> {
         &self.samples
     }
 
@@ -519,7 +519,7 @@ pub struct ClosedLoopUsersNaive {
     outstanding: HashMap<u64, usize>,
     timers: BTreeMap<u64, Vec<u32>>,
     latency: Welford,
-    samples: SegStore<(SimTime, f64)>,
+    samples: SegLog<(SimTime, f64)>,
     record_after: SimTime,
     retry_prob: f64,
     user_retries: u64,
@@ -548,7 +548,7 @@ impl ClosedLoopUsersNaive {
             outstanding: HashMap::new(),
             timers: BTreeMap::new(),
             latency: Welford::new(),
-            samples: SegStore::new(),
+            samples: SegLog::new(),
             record_after: SimTime::ZERO,
             retry_prob: 0.0,
             user_retries: 0,
@@ -607,7 +607,7 @@ impl ClosedLoopUsersNaive {
 
     /// Raw `(completed_at, latency_ms)` samples recorded after the
     /// configured threshold.
-    pub fn samples(&self) -> &SegStore<(SimTime, f64)> {
+    pub fn samples(&self) -> &SegLog<(SimTime, f64)> {
         &self.samples
     }
 
