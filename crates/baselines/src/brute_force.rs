@@ -76,10 +76,6 @@ impl Agent for BruteForce {
         self.sent += 1;
         self.schedule_next(ctx);
     }
-
-    fn snapshot(&self) -> Option<microsim::AgentState> {
-        Some(microsim::AgentState::of(self))
-    }
 }
 
 #[cfg(test)]

@@ -126,10 +126,6 @@ impl Agent for TailAttack {
     fn on_response(&mut self, _ctx: &mut SimCtx<'_>, response: &Response) {
         self.latencies_ms.push(response.latency_ms());
     }
-
-    fn snapshot(&self) -> Option<microsim::AgentState> {
-        Some(microsim::AgentState::of(self))
-    }
 }
 
 #[cfg(test)]

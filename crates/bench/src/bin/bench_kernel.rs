@@ -621,8 +621,8 @@ fn main() {
     // what every warm-start experiment pays per cell. With COW sample
     // stores the cost depends only on the bounded mutable tails, so an
     // 8x-longer warm prefix must fork in (nearly) the same time.
-    let snap_short = short.checkpoint().expect("FixedRate supports snapshotting");
-    let snap_long = long.checkpoint().expect("FixedRate supports snapshotting");
+    let Ok(snap_short) = short.checkpoint();
+    let Ok(snap_long) = long.checkpoint();
     let fork = compare(
         ROUNDS,
         ROUND_BUDGET,

@@ -556,10 +556,6 @@ impl Agent for GruntCommander {
         }
         let _ = ctx;
     }
-
-    fn snapshot(&self) -> Option<microsim::AgentState> {
-        Some(microsim::AgentState::of(self))
-    }
 }
 
 /// Reorders ranked candidates so that paths sharing a bottleneck

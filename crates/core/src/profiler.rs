@@ -610,10 +610,6 @@ impl Agent for Profiler {
             burst.record(response);
         }
     }
-
-    fn snapshot(&self) -> Option<microsim::AgentState> {
-        Some(microsim::AgentState::of(self))
-    }
 }
 
 #[cfg(test)]

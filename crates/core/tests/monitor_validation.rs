@@ -10,6 +10,7 @@ use simnet::{SimDuration, SimTime};
 use telemetry::find_millibottlenecks;
 
 /// An instant-volley burst agent that tracks its own observation.
+#[derive(Clone)]
 struct VolleyBurst {
     rt: RequestTypeId,
     volume: u32,

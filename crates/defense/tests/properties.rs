@@ -28,6 +28,7 @@ fn simulate_schedule(schedule: &[u64]) -> microsim::Metrics {
     b.add_request_type("r", vec![(gw, SimDuration::from_micros(50))]);
     let mut sim = Simulation::new(b.build(), SimConfig::default());
     // One agent per request at its scheduled time, all the same IP.
+    #[derive(Clone)]
     struct At(u64);
     impl microsim::Agent for At {
         fn start(&mut self, ctx: &mut microsim::SimCtx<'_>) {

@@ -90,10 +90,6 @@ impl Agent for PairProbe {
             self.probe_rts.push(response.latency_ms());
         }
     }
-
-    fn snapshot(&self) -> Option<microsim::AgentState> {
-        Some(microsim::AgentState::of(self))
-    }
 }
 
 /// Measures the median victim-probe RT for one `(attacker, victim,

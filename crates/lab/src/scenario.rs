@@ -108,9 +108,7 @@ impl WarmBase {
         let base_from = sim.now();
         sim.run_until(base_from + baseline);
         let base_to = sim.now();
-        let snapshot = sim
-            .checkpoint()
-            .expect("scenario agents support snapshotting");
+        let Ok(snapshot) = sim.checkpoint();
         WarmBase {
             label: scenario.label.clone(),
             snapshot,
@@ -128,9 +126,7 @@ impl WarmBase {
     pub fn profiled(&self, profiler: ProfilerConfig) -> WarmProfiled {
         let mut sim = self.fork();
         let profile = GruntCampaign::profile(&mut sim, profiler);
-        let snapshot = sim
-            .checkpoint()
-            .expect("profiled agents support snapshotting");
+        let Ok(snapshot) = sim.checkpoint();
         WarmProfiled {
             label: self.label.clone(),
             snapshot,

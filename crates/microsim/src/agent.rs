@@ -14,7 +14,6 @@ use callgraph::RequestTypeId;
 
 use crate::job::{Origin, Response};
 use crate::kernel::Kernel;
-use crate::snapshot::AgentState;
 
 /// Identifier of a registered agent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -37,7 +36,22 @@ impl AgentId {
 /// Agents own their randomness (take an `RngStream` at construction) so
 /// that the platform's internal draws and the clients' draws never
 /// interleave.
-pub trait Agent: Any {
+///
+/// Every agent is `Clone` (through [`AgentClone`]), `Send` and `Sync`, so
+/// [`Simulation::checkpoint`](crate::Simulation::checkpoint) can copy it
+/// into a snapshot that worker threads fork. An agent without `Clone` does
+/// not compile:
+///
+/// ```compile_fail,E0277
+/// use microsim::{Agent, SimCtx};
+///
+/// struct Unclonable;
+///
+/// impl Agent for Unclonable {
+///     fn start(&mut self, _ctx: &mut SimCtx<'_>) {}
+/// }
+/// ```
+pub trait Agent: Any + Send + Sync + AgentClone {
     /// Called once at simulation start.
     fn start(&mut self, ctx: &mut SimCtx<'_>);
 
@@ -50,15 +64,24 @@ pub trait Agent: Any {
     fn on_response(&mut self, ctx: &mut SimCtx<'_>, response: &Response) {
         let _ = (ctx, response);
     }
+}
 
-    /// Captures this agent's state for
-    /// [`Simulation::checkpoint`](crate::Simulation::checkpoint).
-    ///
-    /// The default returns `None` (not snapshotable), which makes
-    /// `checkpoint` fail with the agent's index. `Clone` agents opt in with
-    /// a one-liner: `Some(AgentState::of(self))`.
-    fn snapshot(&self) -> Option<AgentState> {
-        None
+/// Object-safe cloning for `Box<dyn Agent>`: implemented for every
+/// `Agent + Clone`, so no agent writes it by hand.
+pub trait AgentClone {
+    /// Clones this agent into a fresh box.
+    fn clone_box(&self) -> Box<dyn Agent>;
+}
+
+impl<A: Agent + Clone> AgentClone for A {
+    fn clone_box(&self) -> Box<dyn Agent> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Agent> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
     }
 }
 
@@ -72,6 +95,7 @@ pub trait Agent: Any {
 /// use microsim::{Agent, Origin, Response, SimCtx};
 /// use callgraph::RequestTypeId;
 ///
+/// #[derive(Clone)]
 /// struct Probe {
 ///     latency_ms: Option<f64>,
 /// }

@@ -48,10 +48,6 @@ impl Agent for OneShot {
     fn on_response(&mut self, _ctx: &mut SimCtx<'_>, response: &Response) {
         self.latency_ms = Some(response.latency_ms());
     }
-
-    fn snapshot(&self) -> Option<crate::AgentState> {
-        Some(crate::AgentState::of(self))
-    }
 }
 
 /// Submits requests of one type at a fixed deterministic rate (equal
@@ -123,10 +119,6 @@ impl Agent for FixedRate {
 
     fn on_response(&mut self, _ctx: &mut SimCtx<'_>, response: &Response) {
         self.latencies_ms.push(response.latency_ms());
-    }
-
-    fn snapshot(&self) -> Option<crate::AgentState> {
-        Some(crate::AgentState::of(self))
     }
 }
 

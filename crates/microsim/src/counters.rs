@@ -96,7 +96,7 @@ mod tests {
         let mut sim = Simulation::new(b.build(), SimConfig::default().seed(5));
         sim.add_agent(Box::new(OneShot::new(RequestTypeId::new(0))));
         sim.run_until(SimTime::from_millis(500));
-        let snap = sim.checkpoint().expect("OneShot snapshots");
+        let Ok(snap) = sim.checkpoint();
         let mut fork = Simulation::from_snapshot(&snap);
         assert_eq!(fork.counters(), sim.counters());
         sim.run_until(SimTime::from_secs(2));

@@ -84,66 +84,60 @@ const DEMAND_Z_BATCH: usize = 32;
 /// The platform state. Owned by [`Simulation`](crate::Simulation); agents
 /// reach it through [`SimCtx`](crate::SimCtx).
 ///
-/// `Clone` performs a deep copy of all mutable state (event queue, replicas,
+/// The derived `Clone` deep-copies all mutable state (event queue, replicas,
 /// in-flight jobs, metric windows, RNG streams) while the immutable parts —
 /// topology, demand plan, config — are shared via `Arc`. A clone is
 /// therefore an exact fork: running the original and the clone with the same
 /// inputs produces bit-identical histories.
-///
-/// The `Clone` impl lives in [`crate::snapshot`] and clones every field
-/// explicitly, one line per field, so that `simlint`'s snapshot-completeness
-/// rule can cross-check this field list against the clone path: adding a
-/// field here without extending the snapshot is a CI failure, not a silent
-/// stale fork. Fields are `pub(crate)` for that impl only — nothing outside
-/// the crate sees them.
+#[derive(Clone)]
 pub struct Kernel {
-    pub(crate) topology: Arc<Topology>,
+    topology: Arc<Topology>,
     /// Every request type's path, flattened with precomputed demands.
-    pub(crate) plan: Plan,
-    pub(crate) cfg: Arc<SimConfig>,
-    pub(crate) now: SimTime,
-    pub(crate) queue: EventQueue<Event>,
-    pub(crate) services: Vec<Service>,
-    pub(crate) jobs: Vec<Option<Job>>,
-    pub(crate) free_jobs: Vec<usize>,
-    pub(crate) metrics: Metrics,
-    pub(crate) demand_rng: RngStream,
+    plan: Plan,
+    cfg: Arc<SimConfig>,
+    now: SimTime,
+    queue: EventQueue<Event>,
+    services: Vec<Service>,
+    jobs: Vec<Option<Job>>,
+    free_jobs: Vec<usize>,
+    metrics: Metrics,
+    demand_rng: RngStream,
     /// Buffered standard-normal draws for demand sampling, consumed in draw
     /// order; see [`Kernel::next_demand_z`].
-    pub(crate) demand_z: [f64; DEMAND_Z_BATCH],
-    pub(crate) demand_z_next: usize,
-    pub(crate) trace_rng: RngStream,
-    pub(crate) next_token: u64,
+    demand_z: [f64; DEMAND_Z_BATCH],
+    demand_z_next: usize,
+    trace_rng: RngStream,
+    next_token: u64,
     /// Responses produced during event handling, drained by the run loop
     /// and dispatched to agents.
     pub(crate) outbox: Vec<(AgentId, Response)>,
     /// Recycled span buffers for traced jobs.
-    pub(crate) span_pool: Vec<Vec<(SimTime, SimTime)>>,
+    span_pool: Vec<Vec<(SimTime, SimTime)>>,
     /// Reused per-sample window buffer.
-    pub(crate) win_scratch: Vec<ServiceWindow>,
+    win_scratch: Vec<ServiceWindow>,
     // Per-window counters (reset at each sample).
-    pub(crate) win_arrivals: Vec<u32>,
-    pub(crate) win_completions: Vec<u32>,
-    pub(crate) win_net: NetworkWindow,
+    win_arrivals: Vec<u32>,
+    win_completions: Vec<u32>,
+    win_net: NetworkWindow,
     // Per-second utilisation accumulation for the auto-scaler.
-    pub(crate) sec_busy: Vec<SimDuration>,
-    pub(crate) sec_started: SimTime,
-    pub(crate) windows_per_sec: u64,
-    pub(crate) windows_seen: u64,
+    sec_busy: Vec<SimDuration>,
+    sec_started: SimTime,
+    windows_per_sec: u64,
+    windows_seen: u64,
     /// Backoff-jitter draws for platform retries; see the sequence-layout
     /// contract in [`crate::resilience`].
-    pub(crate) retry_rng: RngStream,
+    retry_rng: RngStream,
     /// Pending per-attempt deadlines, bucketed by duration class.
-    pub(crate) deadlines: DeadlineQueues,
+    deadlines: DeadlineQueues,
     /// Per-service circuit breakers (disabled when `failure_threshold` is
     /// zero).
-    pub(crate) breakers: BreakerBank,
+    breakers: BreakerBank,
     /// Fast gate: `false` when every resilience policy is disabled, in
     /// which case the kernel takes exactly the pre-resilience code paths —
     /// no extra events, draws, or records.
-    pub(crate) resilience_active: bool,
+    resilience_active: bool,
     /// Events popped per kind and the pending-event high-water mark.
-    pub(crate) counters: Counters,
+    counters: Counters,
 }
 
 impl std::fmt::Debug for Kernel {

@@ -138,11 +138,11 @@ impl ResilienceCounters {
 
 /// Everything recorded during a simulation run.
 ///
-/// `Metrics` deliberately does **not** derive `Clone`: the snapshot path
-/// clones it per fork, and the copy-on-write sharing of the segmented logs
-/// is written out field by field in `crate::snapshot` where `simlint`'s
-/// `snapshot-complete` rule cross-checks it against this field list.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+/// A clone (one per fork) shares the sealed segments of the segmented logs
+/// (`windows`, `request_log`, `access_log`, `traces`) behind `Arc` and
+/// copies only their bounded tails, so fork cost is independent of how
+/// much history the warm run accumulated.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
     pub(crate) window: SimDuration,
     pub(crate) num_services: usize,

@@ -1,10 +1,7 @@
 //! Platform resilience state: deadline timer queues and circuit breakers.
 //!
 //! Both structures live in the [`Kernel`](crate::kernel::Kernel) and are
-//! part of every snapshot, so their `Clone` impls are written manually
-//! per-field and registered in simlint's `snapshot-complete` TARGETS:
-//! adding a field without cloning it becomes a CI failure, not a silently
-//! diverging fork.
+//! part of every snapshot through their derived `Clone`.
 //!
 //! # Deadline queues
 //!
@@ -53,7 +50,7 @@ pub(crate) struct DeadlineClass {
 ///
 /// Built once at kernel construction from the static deadline set; the
 /// hot-path methods never allocate.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DeadlineQueues {
     /// One class per distinct configured deadline duration.
     pub(crate) classes: Vec<DeadlineClass>,
@@ -64,15 +61,6 @@ pub struct DeadlineQueues {
 
 /// Sentinel for "this request type has no deadline".
 const NO_CLASS: u32 = u32::MAX;
-
-impl Clone for DeadlineQueues {
-    fn clone(&self) -> Self {
-        DeadlineQueues {
-            classes: self.classes.clone(),
-            by_type: self.by_type.clone(),
-        }
-    }
-}
 
 impl DeadlineQueues {
     /// Builds the classes for `deadlines[rt]` (one slot per request type,
@@ -183,7 +171,7 @@ impl BreakerState {
 }
 
 /// Per-service circuit breakers with shared policy knobs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BreakerBank {
     /// One breaker per service.
     pub(crate) states: Vec<BreakerState>,
@@ -191,16 +179,6 @@ pub struct BreakerBank {
     pub(crate) threshold: u32,
     /// Open duration before a half-open probe is admitted.
     pub(crate) probe_interval: SimDuration,
-}
-
-impl Clone for BreakerBank {
-    fn clone(&self) -> Self {
-        BreakerBank {
-            states: self.states.clone(),
-            threshold: self.threshold,
-            probe_interval: self.probe_interval,
-        }
-    }
 }
 
 impl BreakerBank {

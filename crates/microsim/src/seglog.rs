@@ -21,7 +21,7 @@ use callgraph::RequestTypeId;
 use serde::{DeError, Deserialize, Serialize, Value};
 use simnet::{SegIndex, SegLog, SegLogIter, Segment, SimTime};
 
-use crate::job::{Outcome, OUTCOME_COUNT};
+use crate::job::Outcome;
 use crate::metrics::{AccessLogEntry, NetworkWindow, RequestRecord, ServiceWindow};
 
 /// Window rows per sealed segment of the [`WindowLog`].
@@ -51,12 +51,10 @@ impl RequestFilter {
 }
 
 /// Compressed-sparse-row posting lists: `group(k)` is the ascending list of
-/// record offsets whose key is `k`.
-///
-/// Public so microbenches can exercise the build in isolation; everything
-/// else goes through [`RequestLog`] / [`AccessLog`].
-#[derive(Debug)]
-pub struct Csr {
+/// record offsets whose key is `k`. The per-segment indexes of
+/// [`RequestLog`] and [`AccessLog`] are built from these.
+#[derive(Debug, Clone)]
+pub(crate) struct Csr {
     /// `starts[k]..starts[k + 1]` delimits group `k` inside `offsets`.
     starts: Vec<u32>,
     /// Record offsets, grouped by key, ascending within each group.
@@ -96,7 +94,7 @@ impl Csr {
 
 /// Per-segment query index of the [`RequestLog`], built once at seal time
 /// and shared between clones exactly like the segment it describes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RequestIndex {
     /// Completion time of the segment's first record.
     first: SimTime,
@@ -271,57 +269,6 @@ impl RequestLog {
             }
         }
     }
-
-    /// Counts the records completed in `[from, to)` per [`Outcome`], index
-    /// position matching [`Outcome::index`] (`[ok, timed_out, rejected,
-    /// shed]`).
-    ///
-    /// O(log) per sealed segment via the `by_outcome` posting lists; only
-    /// the tail is scanned.
-    pub fn outcome_counts_in(&self, from: SimTime, to: SimTime) -> [usize; OUTCOME_COUNT] {
-        let mut counts = [0usize; OUTCOME_COUNT];
-        if to <= from {
-            return counts;
-        }
-        for seg in self.0.sealed() {
-            let index = seg.index();
-            if index.last < from {
-                continue;
-            }
-            if index.first >= to {
-                break;
-            }
-            let recs = seg.items();
-            for (k, c) in counts.iter_mut().enumerate() {
-                let offsets = index.by_outcome.group(k);
-                let lo = offsets.partition_point(|&o| recs[o as usize].completed_at < from);
-                let hi = offsets.partition_point(|&o| recs[o as usize].completed_at < to);
-                *c += hi - lo;
-            }
-        }
-        let tail = self.0.tail();
-        let lo = tail.partition_point(|r| r.completed_at < from);
-        let hi = tail.partition_point(|r| r.completed_at < to);
-        for rec in &tail[lo..hi] {
-            counts[rec.outcome.index()] += 1;
-        }
-        counts
-    }
-
-    /// Full-scan twin of [`RequestLog::outcome_counts_in`], kept as the
-    /// differential-testing reference for the indexed path.
-    pub fn outcome_counts_naive(&self, from: SimTime, to: SimTime) -> [usize; OUTCOME_COUNT] {
-        let mut counts = [0usize; OUTCOME_COUNT];
-        if to <= from {
-            return counts;
-        }
-        for rec in self {
-            if rec.completed_at >= from && rec.completed_at < to {
-                counts[rec.outcome.index()] += 1;
-            }
-        }
-        counts
-    }
 }
 
 impl Deref for RequestLog {
@@ -363,7 +310,7 @@ impl Matched<'_> {
 /// IPs and sessions are sparse identifiers, so each segment remaps the
 /// (typically few) distinct values it contains to dense CSR keys via the
 /// sorted `ips` / `sessions` tables.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AccessIndex {
     /// Submission time of the segment's first entry.
     first: SimTime,
@@ -811,7 +758,7 @@ mod tests {
     use simnet::SimDuration;
 
     /// The outcome variants in [`Outcome::index`] order, for strategies.
-    const OUTCOMES: [Outcome; OUTCOME_COUNT] = [
+    const OUTCOMES: [Outcome; 4] = [
         Outcome::Ok,
         Outcome::TimedOut,
         Outcome::Rejected,
@@ -848,8 +795,6 @@ mod tests {
             records.push(r);
         }
         let (from, to) = (SimTime::ZERO, SimTime::from_micros(100_000));
-        assert_eq!(log.outcome_counts_in(from, to), [5, 2, 1, 2]);
-        assert_eq!(log.outcome_counts_naive(from, to), [5, 2, 1, 2]);
         // Outcome-only filter: walks the by_outcome posting lists.
         let f = RequestFilter {
             outcome: Some(TimedOut),
@@ -868,8 +813,6 @@ mod tests {
         let mut got2 = Vec::new();
         log.for_each_matching(from, to, f2, |r| got2.push(*r));
         assert_eq!(got2, naive(&records, from, to, f2));
-        // Degenerate window.
-        assert_eq!(log.outcome_counts_in(to, from), [0; OUTCOME_COUNT]);
     }
 
     #[test]
@@ -1055,7 +998,7 @@ mod tests {
         fn indexed_queries_match_naive_scan(
             seg_cap in 1usize..9,
             steps in proptest::collection::vec(
-                (0u64..400, 0usize..4, 0u8..2, 0u8..OUTCOME_COUNT as u8),
+                (0u64..400, 0usize..4, 0u8..2, 0u8..OUTCOMES.len() as u8),
                 0..200,
             ),
             ranges in proptest::collection::vec((0u64..500, 0u64..500), 1..12),
@@ -1064,7 +1007,7 @@ mod tests {
             // 0 = no type filter, k = restrict to type k - 1.
             type_f in 0u32..5,
             // 0 = no outcome filter, k = restrict to OUTCOMES[k - 1].
-            outcome_f in 0u8..(OUTCOME_COUNT as u8 + 1),
+            outcome_f in 0u8..(OUTCOMES.len() as u8 + 1),
         ) {
             let mut log = RequestLog::with_seg_cap(seg_cap);
             let mut records = Vec::new();
@@ -1091,10 +1034,6 @@ mod tests {
                 log.for_each_matching(from, to, filter, |r| got.push(*r));
                 prop_assert_eq!(&got, &expect, "gather mismatch");
                 prop_assert_eq!(log.count_matching(from, to, filter), expect.len(), "count mismatch");
-                let counts = log.outcome_counts_in(from, to);
-                prop_assert_eq!(counts, log.outcome_counts_naive(from, to), "outcome twin mismatch");
-                let unfiltered = naive(&records, from, to, RequestFilter::default()).len();
-                prop_assert_eq!(counts.iter().sum::<usize>(), unfiltered, "outcome counts must partition the window");
             }
         }
 

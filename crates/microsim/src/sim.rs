@@ -1,5 +1,7 @@
 //! The top-level simulation: kernel plus registered agents.
 
+use std::convert::Infallible;
+
 use callgraph::Topology;
 use simnet::SimTime;
 
@@ -7,7 +9,7 @@ use crate::agent::{Agent, AgentId, SimCtx};
 use crate::config::SimConfig;
 use crate::kernel::Kernel;
 use crate::metrics::Metrics;
-use crate::snapshot::{SimSnapshot, SnapshotError};
+use crate::snapshot::SimSnapshot;
 
 /// A runnable microservice-platform simulation.
 ///
@@ -15,9 +17,12 @@ use crate::snapshot::{SimSnapshot, SnapshotError};
 /// [`Simulation::run_until`] (which may be called repeatedly — e.g. run the
 /// baseline for a while, inspect metrics, then keep going with an attack
 /// agent added).
+///
+/// A clone is an exact fork (see [`Simulation::checkpoint`]).
+#[derive(Clone)]
 pub struct Simulation {
     kernel: Kernel,
-    agents: Vec<Option<Box<dyn Agent>>>,
+    pub(crate) agents: Vec<Option<Box<dyn Agent>>>,
     started: Vec<bool>,
     /// Reused buffer for outbox batches (swapped with the kernel outbox so
     /// neither side reallocates in the steady state).
@@ -134,33 +139,16 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Fails if any registered agent does not support snapshotting (its
-    /// [`Agent::snapshot`] returns `None`), naming the agent's index.
-    pub fn checkpoint(&self) -> Result<SimSnapshot, SnapshotError> {
-        let mut agents = Vec::with_capacity(self.agents.len());
-        for (index, slot) in self.agents.iter().enumerate() {
-            let agent = slot.as_ref().expect("checkpoint during agent callback");
-            match agent.snapshot() {
-                Some(state) => agents.push(state),
-                None => return Err(SnapshotError::UnsupportedAgent { index }),
-            }
-        }
-        Ok(SimSnapshot {
-            kernel: self.kernel.clone(),
-            agents,
-            started: self.started.clone(),
-        })
+    /// None: every agent is `Clone`, so a checkpoint cannot fail. The
+    /// `Result` is kept for callers that still `expect` on it.
+    pub fn checkpoint(&self) -> Result<SimSnapshot, Infallible> {
+        Ok(SimSnapshot(self.clone()))
     }
 
     /// Forks a new simulation from `snapshot`, resuming at the snapshot's
     /// simulated time. The snapshot is borrowed and can be forked again.
     pub fn from_snapshot(snapshot: &SimSnapshot) -> Simulation {
-        Simulation {
-            kernel: snapshot.kernel.clone(),
-            agents: snapshot.agents.iter().map(|s| Some(s.restore())).collect(),
-            started: snapshot.started.clone(),
-            outbox_scratch: Vec::new(),
-        }
+        snapshot.0.clone()
     }
 
     /// Deterministic counters of the kernel's work so far: events popped

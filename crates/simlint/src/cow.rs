@@ -13,21 +13,20 @@
 //! forks silently observing each other's writes. This rule makes every such
 //! site a CI failure.
 //!
-//! Registered spine types are the explicit [`COW_TYPES`] list plus any
-//! snapshot-complete TARGET whose struct carries an `Arc`-typed field.
-//! Spine fields are the `Arc`-typed fields of a registered struct. Within
-//! every `impl` block of a registered type, a statement that touches
-//! `self.<spine>` may not contain a mutating method call on that spine's
-//! chain, an index-assign, a raw `&mut self.<spine>` borrow, or
+//! Registered spine types are the [`COW_TYPES`] list; spine fields are the
+//! `Arc`-typed fields of a registered struct. Within every `impl` block of
+//! a registered type, a statement that touches `self.<spine>` may not
+//! contain a mutating method call on that spine's chain, an index-assign,
+//! a raw `&mut self.<spine>` borrow, or
 //! `Arc::get_mut` — unless the statement flows through `Arc::make_mut`.
 //! Whole-field replacement (`self.spine = Arc::new(...)`) is COW-safe and
 //! stays legal.
 
 use std::collections::BTreeMap;
 
-use crate::lexer::Token;
+use crate::lexer::{Token, TokenKind};
 use crate::parse::FnItem;
-use crate::snapshot;
+use crate::rules::skip_attr;
 use crate::{Diagnostic, SrcFile};
 
 /// Rule id.
@@ -43,13 +42,25 @@ pub struct CowType {
     pub file: &'static str,
 }
 
-/// The workspace's registered COW spine types. Every segmented store is
-/// built on `simnet::SegLog`, so it owns the only `Arc<Vec<Arc<_>>>`
-/// spine; the stores wrapping it have no `Arc` field of their own.
-pub const COW_TYPES: [CowType; 1] = [CowType {
-    name: "SegLog",
-    file: "crates/simnet/src/seglog.rs",
-}];
+/// The workspace's registered COW spine types: every struct that owns an
+/// `Arc` field shared between a simulation and its forks. Every segmented
+/// store is built on `simnet::SegLog`, so it owns the only
+/// `Arc<Vec<Arc<_>>>` spine; the kernel shares its topology and config,
+/// and the closed-loop population its browsing model.
+pub const COW_TYPES: [CowType; 3] = [
+    CowType {
+        name: "SegLog",
+        file: "crates/simnet/src/seglog.rs",
+    },
+    CowType {
+        name: "Kernel",
+        file: "crates/microsim/src/kernel.rs",
+    },
+    CowType {
+        name: "ClosedLoopUsers",
+        file: "crates/workload/src/users.rs",
+    },
+];
 
 /// Methods that mutate a collection in place.
 const MUT_METHODS: [&str; 24] = [
@@ -80,29 +91,20 @@ const MUT_METHODS: [&str; 24] = [
 ];
 
 /// Builds the spine map over a set of files: registered type name → names of
-/// its `Arc`-typed fields. Explicit [`COW_TYPES`] are always registered
-/// (even with no `Arc` field — [`check_registry`] flags that); snapshot
-/// TARGETS are registered exactly when their struct carries an `Arc` field.
+/// its `Arc`-typed fields. Every [`COW_TYPES`] entry found in `files` is
+/// registered, even with no `Arc` field ([`check_registry`] flags that).
 pub fn spine_map(files: &[SrcFile]) -> BTreeMap<String, Vec<String>> {
     let mut map = BTreeMap::new();
-    let explicit: Vec<&str> = COW_TYPES.iter().map(|t| t.name).collect();
-    let targets: Vec<&str> = snapshot::TARGETS.iter().map(|t| t.struct_name).collect();
     for file in files {
-        for name in explicit.iter().chain(&targets) {
-            if map.contains_key(*name) {
+        for ty in &COW_TYPES {
+            if map.contains_key(ty.name) {
                 continue;
             }
-            let Some(fields) = snapshot::struct_fields_ex(&file.lexed.tokens, name) else {
+            let Some(fields) = struct_fields(&file.lexed.tokens, ty.name) else {
                 continue;
             };
-            let spines: Vec<String> = fields
-                .iter()
-                .filter(|f| f.arc)
-                .map(|f| f.name.clone())
-                .collect();
-            if explicit.contains(name) || !spines.is_empty() {
-                map.insert((*name).to_string(), spines);
-            }
+            let spines = fields.into_iter().filter(|f| f.arc).map(|f| f.name);
+            map.insert(ty.name.to_string(), spines.collect());
         }
     }
     map
@@ -115,7 +117,7 @@ pub fn check_registry(files: &[SrcFile], out: &mut Vec<Diagnostic>) {
     for ty in &COW_TYPES {
         let mut struct_line = None;
         for file in files {
-            if let Some(fields) = snapshot::struct_fields_ex(&file.lexed.tokens, ty.name) {
+            if let Some(fields) = struct_fields(&file.lexed.tokens, ty.name) {
                 struct_line = Some((
                     file.path.clone(),
                     fields.first().map_or(1, |f| f.line),
@@ -321,4 +323,129 @@ fn skip_group(stmt: &[Token], k: usize, open: char, close: char) -> usize {
         i += 1;
     }
     i
+}
+
+/// One parsed struct field.
+#[derive(Debug, Clone)]
+pub struct Field {
+    /// The field's name.
+    pub name: String,
+    /// 1-based line of the field's name.
+    pub line: u32,
+    /// `true` when the field's type mentions `Arc` — i.e. the field is (or
+    /// contains) a shared copy-on-write spine.
+    pub arc: bool,
+}
+
+/// Parses the named struct's fields (see [`Field`]). Returns `None` when
+/// the struct is absent or has no brace-delimited field list.
+pub fn struct_fields(toks: &[Token], name: &str) -> Option<Vec<Field>> {
+    let mut i = 0usize;
+    // Find `struct <name>`.
+    while i < toks.len() {
+        if toks[i].is_ident("struct") && toks.get(i + 1).is_some_and(|t| t.is_ident(name)) {
+            break;
+        }
+        i += 1;
+    }
+    if i >= toks.len() {
+        return None;
+    }
+    i += 2;
+    // Skip generics.
+    if toks.get(i).is_some_and(|t| t.is_punct('<')) {
+        let mut angle = 0i32;
+        while i < toks.len() {
+            if toks[i].is_punct('<') {
+                angle += 1;
+            } else if toks[i].is_punct('>') && !toks[i - 1].is_punct('-') {
+                angle -= 1;
+                if angle == 0 {
+                    i += 1;
+                    break;
+                }
+            }
+            i += 1;
+        }
+    }
+    // Skip a where-clause up to `{` or `;`.
+    while i < toks.len() && !toks[i].is_punct('{') && !toks[i].is_punct(';') {
+        i += 1;
+    }
+    if !toks.get(i).is_some_and(|t| t.is_punct('{')) {
+        return None; // unit or tuple struct
+    }
+    Some(parse_field_list(toks, i))
+}
+
+/// Parses a brace-delimited field list starting at the `{` index.
+fn parse_field_list(toks: &[Token], open: usize) -> Vec<Field> {
+    let mut fields: Vec<Field> = Vec::new();
+    let mut i = open + 1;
+    let mut depth = 1i32; // brace depth relative to the struct body
+    let mut expecting_field = true;
+    let mut nest = 0i32; // (), [], <> nesting inside a field's type
+    while i < toks.len() && depth > 0 {
+        let t = &toks[i];
+        match &t.kind {
+            TokenKind::Punct('{') => depth += 1,
+            TokenKind::Punct('}') => depth -= 1,
+            TokenKind::Punct('#') if depth == 1 && expecting_field => {
+                i = skip_attr(toks, i);
+                continue;
+            }
+            TokenKind::Punct('(' | '[') => nest += 1,
+            TokenKind::Punct(')' | ']') => nest -= 1,
+            TokenKind::Punct('<') if depth == 1 => nest += 1,
+            TokenKind::Punct('>') if depth == 1 && !toks[i - 1].is_punct('-') => {
+                nest -= 1;
+            }
+            TokenKind::Punct(',') if depth == 1 && nest == 0 => {
+                expecting_field = true;
+                i += 1;
+                continue;
+            }
+            TokenKind::Ident(id) if depth == 1 && nest == 0 && expecting_field => {
+                if id == "pub" {
+                    // `pub` or `pub(crate)`: the visibility parens are
+                    // consumed via `nest` below, so just move on.
+                    i += 1;
+                    if toks.get(i).is_some_and(|t| t.is_punct('(')) {
+                        let mut p = 0i32;
+                        while i < toks.len() {
+                            if toks[i].is_punct('(') {
+                                p += 1;
+                            } else if toks[i].is_punct(')') {
+                                p -= 1;
+                                if p == 0 {
+                                    i += 1;
+                                    break;
+                                }
+                            }
+                            i += 1;
+                        }
+                    }
+                    continue;
+                }
+                if toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+                    && !toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
+                {
+                    fields.push(Field {
+                        name: id.clone(),
+                        line: t.line,
+                        arc: false,
+                    });
+                    expecting_field = false;
+                }
+            }
+            TokenKind::Ident(id) if depth == 1 && !expecting_field && id == "Arc" => {
+                if let Some(last) = fields.last_mut() {
+                    last.arc = true;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    fields
 }

@@ -1,15 +1,13 @@
-//! `simlint` — the workspace determinism, snapshot-coverage, and invariant
-//! auditor.
+//! `simlint` — the workspace determinism and invariant auditor.
 //!
 //! The whole reproduction rests on one invariant: simulations are
 //! deterministic. `lab --jobs N` reports are byte-identical at any job
 //! count, and warm-state forks are byte-identical to cold runs. That
 //! invariant is easy to break silently — one `HashMap` iteration feeding a
-//! report, one `Instant::now()` in an agent, one field missing from the
-//! snapshot clone path, one COW spine mutated around `Arc::make_mut` — and
-//! dynamic tests only catch the breakage when a test happens to exercise
-//! the affected path. `simlint` enforces the invariants statically, at the
-//! source level, on every PR:
+//! report, one `Instant::now()` in an agent, one COW spine mutated around
+//! `Arc::make_mut` — and dynamic tests only catch the breakage when a test
+//! happens to exercise the affected path. `simlint` enforces the invariants
+//! statically, at the source level, in CI:
 //!
 //! ```text
 //! cargo run -p simlint -- --check [--format text|json|sarif] [--baseline <file>]
@@ -21,8 +19,6 @@
 //!
 //! * `nondet-source`, `unordered-iter`, `float-order` — per-file
 //!   determinism scans (see [`rules`]);
-//! * `snapshot-complete` — every tracked snapshot struct's `Clone` path
-//!   must reference every field (see [`snapshot`]);
 //! * `cow-discipline` — registered copy-on-write spines are mutated only
 //!   through `Arc::make_mut` (see [`cow`]);
 //! * `hot-path-alloc` — no allocation constructors reachable from the
@@ -57,7 +53,6 @@ pub mod output;
 pub mod parse;
 pub mod registry;
 pub mod rules;
-pub mod snapshot;
 pub mod twin;
 
 use std::collections::BTreeSet;
@@ -243,11 +238,6 @@ impl Model {
         }
         Ok((sources, test_sources))
     }
-
-    /// The scanned file with the given workspace-relative path.
-    pub fn file(&self, path: &str) -> Option<&SrcFile> {
-        self.files.iter().find(|f| f.path == path)
-    }
 }
 
 /// Lints one source file (per-file rules only — the graph rules need a
@@ -258,7 +248,6 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in &model.files {
         rules::lint_tokens(&file.path, &file.lexed, &mut out);
-        snapshot::check_agents(&file.path, &file.lexed, &mut out);
         cow::check_file(file, &spines, &mut out);
     }
     allow::apply(&model.files, &mut out);
@@ -268,15 +257,13 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
 }
 
 /// Runs the full rule set over a model: per-file rules, the COW/hot-path/
-/// naive-twin graph rules, the snapshot-completeness cross-checks, and
-/// allow-directive accounting. Diagnostics come back sorted by
-/// (path, line, rule).
+/// naive-twin graph rules, and allow-directive accounting. Diagnostics come
+/// back sorted by (path, line, rule).
 pub fn lint_model(model: &Model) -> Vec<Diagnostic> {
     let spines = cow::spine_map(&model.files);
     let mut out = Vec::new();
     for file in &model.files {
         rules::lint_tokens(&file.path, &file.lexed, &mut out);
-        snapshot::check_agents(&file.path, &file.lexed, &mut out);
         cow::check_file(file, &spines, &mut out);
     }
     cow::check_registry(&model.files, &mut out);
@@ -288,31 +275,6 @@ pub fn lint_model(model: &Model) -> Vec<Diagnostic> {
         &twin::INDEXED_LOGS,
         &mut out,
     );
-    for target in &snapshot::TARGETS {
-        match (model.file(target.struct_file), model.file(target.clone_file)) {
-            (Some(s), Some(c)) => {
-                snapshot::check_target(target, &s.lexed.tokens, &c.lexed.tokens, &mut out);
-            }
-            (None, _) => out.push(Diagnostic::new(
-                rules::SNAPSHOT_COMPLETE,
-                target.struct_file,
-                1,
-                format!(
-                    "tracked snapshot struct `{}`'s file is not in the scanned workspace; update simlint's TARGETS if it moved",
-                    target.struct_name
-                ),
-            )),
-            (Some(_), None) => out.push(Diagnostic::new(
-                rules::SNAPSHOT_COMPLETE,
-                target.clone_file,
-                1,
-                format!(
-                    "tracked snapshot struct `{}`'s clone file is not in the scanned workspace; update simlint's TARGETS if it moved",
-                    target.struct_name
-                ),
-            )),
-        }
-    }
     allow::apply(&model.files, &mut out);
     out.sort();
     out.dedup();

@@ -31,8 +31,7 @@ fn main() -> ExitCode {
     let mut i = 0usize;
     while i < args.len() {
         match args[i].as_str() {
-            "--check" => {}                    // the default mode; kept for CI clarity
-            "--json" => format = Format::Json, // alias for --format json
+            "--check" => {} // the default mode; kept for CI clarity
             "--format" => {
                 i += 1;
                 format = match args.get(i).map(String::as_str) {

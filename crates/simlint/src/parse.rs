@@ -151,7 +151,8 @@ struct ImplCtx {
 
 /// Parses an `impl` header at index `i` (`impl [<..>] [Trait for] Type
 /// [where ..] {`); returns the impl type, the trait (if any), and the index
-/// of the body's opening brace.
+/// of the body's opening brace. A trait impl for a non-path type (`()`, a
+/// tuple, a slice, an array) is recorded under a synthetic type name.
 fn parse_impl_header(toks: &[Token], i: usize) -> Option<(String, Option<String>, usize)> {
     let mut j = i + 1;
     j = skip_angles(toks, j);
@@ -169,7 +170,21 @@ fn parse_impl_header(toks: &[Token], i: usize) -> Option<(String, Option<String>
         {
             j += 1;
         }
-        let ty = read_path_base(toks, &mut j)?;
+        let ty = match toks.get(j) {
+            // A non-path self type gets a synthetic name: `()` for the unit
+            // type, `(..)` for tuples, `[..]` for slices and arrays.
+            Some(t) if t.is_punct('(') => {
+                let end = skip_balanced(toks, j, '(', ')');
+                let name = if end == j + 2 { "()" } else { "(..)" };
+                j = end;
+                name.to_string()
+            }
+            Some(t) if t.is_punct('[') => {
+                j = skip_balanced(toks, j, '[', ']');
+                "[..]".to_string()
+            }
+            _ => read_path_base(toks, &mut j)?,
+        };
         let open = find_body_open(toks, j)?;
         return Some((ty, Some(first), open));
     }
@@ -518,6 +533,44 @@ impl<'a> core::fmt::Display for Wrapper<'a> {
         assert_eq!(fns[0].impl_trait, None);
         assert_eq!(fns[1].impl_type.as_deref(), Some("Wrapper"));
         assert_eq!(fns[1].impl_trait.as_deref(), Some("Display"));
+    }
+
+    #[test]
+    fn trait_impls_for_non_path_self_types_keep_their_trait() {
+        let src = r"
+impl<T> SegIndex<T> for () {
+    fn build(_items: &[T]) -> Self {}
+}
+impl Tally for (u32, u64) {
+    fn total(&self) -> u64 { 0 }
+}
+impl<T> Tally for [T] {
+    fn total(&self) -> u64 { 0 }
+}
+impl Tally for [u8; 4] {
+    fn total(&self) -> u64 { 0 }
+}
+";
+        let fns = items(src);
+        let got: Vec<(&str, Option<&str>, Option<&str>)> = fns
+            .iter()
+            .map(|f| {
+                (
+                    f.name.as_str(),
+                    f.impl_type.as_deref(),
+                    f.impl_trait.as_deref(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("build", Some("()"), Some("SegIndex")),
+                ("total", Some("(..)"), Some("Tally")),
+                ("total", Some("[..]"), Some("Tally")),
+                ("total", Some("[..]"), Some("Tally")),
+            ]
+        );
     }
 
     #[test]

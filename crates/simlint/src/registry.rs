@@ -48,7 +48,7 @@ pub struct Rule {
 }
 
 /// Every rule simlint can emit, in stable (alphabetical) order.
-pub const RULES: [Rule; 9] = [
+pub const RULES: [Rule; 8] = [
     Rule {
         id: "bad-allow",
         severity: Severity::Error,
@@ -78,11 +78,6 @@ pub const RULES: [Rule; 9] = [
         id: "nondet-source",
         severity: Severity::Error,
         summary: "wall clock, OS entropy, environment reads, or raw threads in simulation code",
-    },
-    Rule {
-        id: "snapshot-complete",
-        severity: Severity::Error,
-        summary: "a tracked snapshot struct's Clone path does not reference every field",
     },
     Rule {
         id: "unordered-iter",

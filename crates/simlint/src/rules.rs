@@ -22,9 +22,6 @@ pub const NONDET_SOURCE: &str = "nondet-source";
 pub const UNORDERED_ITER: &str = "unordered-iter";
 /// Rule id: float reduction over an unordered iteration.
 pub const FLOAT_ORDER: &str = "float-order";
-/// Rule id: snapshot/Clone path missing a struct field (see
-/// [`crate::snapshot`]).
-pub const SNAPSHOT_COMPLETE: &str = "snapshot-complete";
 
 /// Methods whose iteration order is the hash order of the collection.
 const ITER_METHODS: [&str; 10] = [
@@ -341,17 +338,11 @@ fn dedupe(out: &mut Vec<Diagnostic>) {
     out.retain(|d| seen.insert((d.rule, d.file.clone(), d.line)));
 }
 
-/// Masks out `#[cfg(test)] mod ... { ... }` blocks from a token stream.
-///
-/// Test modules assert over simulation output and routinely use hash
-/// collections for membership checks — harmless, because nothing simulated
-/// depends on their iteration order.
-pub fn strip_cfg_test(toks: Vec<Token>) -> Vec<Token> {
-    split_cfg_test(toks).0
-}
-
 /// Splits a token stream into (non-test tokens, `#[cfg(test)]` tokens).
 ///
+/// The rules lint only the first half: test modules assert over simulation
+/// output and routinely use hash collections for membership checks —
+/// harmless, because nothing simulated depends on their iteration order.
 /// The test half feeds the `naive-twin` rule's reference scan: an indexed
 /// query's ground-truth twin counts as exercised when its name appears in
 /// any test code, including in-file `#[cfg(test)]` modules.

@@ -52,21 +52,3 @@ fn fixtures_match_goldens() {
         check_golden(&format!("{stem}.expected"), &render(&diags));
     }
 }
-
-#[test]
-fn snapshot_pair_matches_golden() {
-    let dir = fixtures_dir();
-    let struct_src = fs::read_to_string(dir.join("snapshot_pair_struct.rs")).unwrap();
-    let clone_src = fs::read_to_string(dir.join("snapshot_pair_clone.rs")).unwrap();
-    let target = simlint::snapshot::SnapshotTarget {
-        struct_name: "MiniKernel",
-        struct_file: "fixtures/snapshot_pair_struct.rs",
-        clone_file: "fixtures/snapshot_pair_clone.rs",
-    };
-    let struct_toks = simlint::rules::strip_cfg_test(simlint::lexer::lex(&struct_src).tokens);
-    let clone_toks = simlint::rules::strip_cfg_test(simlint::lexer::lex(&clone_src).tokens);
-    let mut out = Vec::new();
-    simlint::snapshot::check_target(&target, &struct_toks, &clone_toks, &mut out);
-    out.sort();
-    check_golden("snapshot_pair.expected", &render(&out));
-}

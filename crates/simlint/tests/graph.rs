@@ -311,3 +311,38 @@ fn a_call_on_a_type_parameter_reaches_every_trait_impl_of_that_name() {
         diags[0].message
     );
 }
+
+#[test]
+fn a_call_on_a_type_parameter_reaches_a_trait_impl_for_the_unit_type() {
+    // `SegLog<T, I = ()>` seals through `I::build(...)`, and `()` is the
+    // index of every plain log: its `build` is a trait method, reachable
+    // from `I::build` and not from a plain call to a free `build`.
+    let m = model(
+        &[(
+            "crates/demo/src/lib.rs",
+            r"
+            trait SegIndex<T> { fn build(items: &[T]) -> Self; }
+            impl<T> SegIndex<T> for () {
+                fn build(_items: &[T]) -> Self {}
+            }
+            struct Log<T, I> { tail: Vec<T>, index: I }
+            impl<T, I: SegIndex<T>> Log<T, I> {
+                pub fn push(&mut self) { self.index = I::build(&self.tail); }
+            }
+            struct Other;
+            impl Other {
+                pub fn go(&self) { build(); }
+            }
+            ",
+        )],
+        &[],
+    );
+    let g = FnGraph::build(&m.files);
+    let (hot, missing) = g.hot_set(&[("Log", "push")]);
+    assert!(missing.is_empty());
+    let names: Vec<String> = hot.keys().map(|&id| g.qualified_name(id)).collect();
+    assert_eq!(names, ["()::build", "Log::push"]);
+    let (hot, _) = g.hot_set(&[("Other", "go")]);
+    let names: Vec<String> = hot.keys().map(|&id| g.qualified_name(id)).collect();
+    assert!(!names.contains(&"()::build".to_string()), "got: {names:?}");
+}

@@ -1,11 +1,9 @@
 //! The workspace self-check — the tree this crate lives in must lint clean —
 //! plus mutation tests proving every workspace-level rule bites on the
-//! *real* tree: delete one field-clone line and `snapshot-complete` fails;
-//! strip an `Arc::make_mut` and `cow-discipline` fails; inject an
+//! *real* tree: strip an `Arc::make_mut` and `cow-discipline` fails; inject an
 //! allocation into a hot function and `hot-path-alloc` fails; rename a
 //! `_naive` twin away and `naive-twin` fails.
 
-use std::fs;
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -119,129 +117,6 @@ fn renaming_a_hot_entry_point_is_itself_a_finding() {
     );
 }
 
-/// Runs `check_target` for one tracked struct after deleting every source
-/// line of the clone file that contains `needle`, returning the rendered
-/// diagnostics.
-fn check_with_deleted_line(struct_name: &str, needle: &str) -> Vec<String> {
-    let root = workspace_root();
-    let target = simlint::snapshot::TARGETS
-        .iter()
-        .find(|t| t.struct_name == struct_name)
-        .expect("tracked target");
-    let struct_src = fs::read_to_string(root.join(target.struct_file)).unwrap();
-    let clone_src = fs::read_to_string(root.join(target.clone_file)).unwrap();
-    let mutated: String = clone_src
-        .lines()
-        .filter(|l| !l.contains(needle))
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert_ne!(mutated, clone_src, "needle `{needle}` not found to delete");
-    let struct_toks = simlint::rules::strip_cfg_test(simlint::lexer::lex(&struct_src).tokens);
-    let clone_toks = simlint::rules::strip_cfg_test(simlint::lexer::lex(&mutated).tokens);
-    let mut out = Vec::new();
-    simlint::snapshot::check_target(target, &struct_toks, &clone_toks, &mut out);
-    out.iter().map(ToString::to_string).collect()
-}
-
-#[test]
-fn deleting_a_kernel_field_clone_line_is_caught() {
-    let diags = check_with_deleted_line("Kernel", "queue: self.queue.clone()");
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.contains("[snapshot-complete]") && d.contains("`queue`")),
-        "expected a snapshot-complete finding for `queue`, got: {diags:?}"
-    );
-}
-
-#[test]
-fn deleting_an_event_queue_field_clone_line_is_caught() {
-    let diags = check_with_deleted_line("EventQueue", "next_seq: self.next_seq");
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.contains("[snapshot-complete]") && d.contains("`next_seq`")),
-        "expected a snapshot-complete finding for `next_seq`, got: {diags:?}"
-    );
-}
-
-#[test]
-fn deleting_a_metrics_field_clone_line_is_caught() {
-    let diags = check_with_deleted_line("Metrics", "request_log: self.request_log.clone()");
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.contains("[snapshot-complete]") && d.contains("`request_log`")),
-        "expected a snapshot-complete finding for `request_log`, got: {diags:?}"
-    );
-}
-
-#[test]
-fn deleting_a_seg_samples_field_clone_line_is_caught() {
-    let diags = check_with_deleted_line("SegSamples", "tail_sorted: self.tail_sorted.clone()");
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.contains("[snapshot-complete]") && d.contains("`tail_sorted`")),
-        "expected a snapshot-complete finding for `tail_sorted`, got: {diags:?}"
-    );
-}
-
-#[test]
-fn deleting_a_seg_log_field_clone_line_is_caught() {
-    let diags = check_with_deleted_line("SegLog", "seg_cap: self.seg_cap");
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.contains("[snapshot-complete]") && d.contains("`seg_cap`")),
-        "expected a snapshot-complete finding for `seg_cap`, got: {diags:?}"
-    );
-}
-
-#[test]
-fn deleting_a_think_arena_field_clone_line_is_caught() {
-    let diags = check_with_deleted_line("ThinkArena", "overflow: self.overflow.clone()");
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.contains("[snapshot-complete]") && d.contains("`overflow`")),
-        "expected a snapshot-complete finding for `overflow`, got: {diags:?}"
-    );
-}
-
-#[test]
-fn deleting_a_population_field_clone_line_is_caught() {
-    let diags = check_with_deleted_line("ClosedLoopUsers", "arena: self.arena.clone()");
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.contains("[snapshot-complete]") && d.contains("`arena`")),
-        "expected a snapshot-complete finding for `arena`, got: {diags:?}"
-    );
-}
-
-#[test]
-fn deleting_a_deadline_queue_field_clone_line_is_caught() {
-    let diags = check_with_deleted_line("DeadlineQueues", "classes: self.classes.clone()");
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.contains("[snapshot-complete]") && d.contains("`classes`")),
-        "expected a snapshot-complete finding for `classes`, got: {diags:?}"
-    );
-}
-
-#[test]
-fn deleting_a_breaker_bank_field_clone_line_is_caught() {
-    let diags = check_with_deleted_line("BreakerBank", "states: self.states.clone()");
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.contains("[snapshot-complete]") && d.contains("`states`")),
-        "expected a snapshot-complete finding for `states`, got: {diags:?}"
-    );
-}
-
 #[test]
 fn injecting_an_allocation_into_a_seal_time_index_build_is_caught() {
     // The request index is built only through `SegLog::push`'s generic
@@ -333,8 +208,8 @@ fn injecting_an_allocation_into_the_population_wake_path_is_caught() {
 
 #[test]
 fn get_mut_on_the_population_model_spine_is_caught() {
-    // ClosedLoopUsers joins the COW registry through its Arc-typed `model`
-    // field (snapshot TARGETS with Arc fields are auto-registered).
+    // ClosedLoopUsers is a registered COW type through its Arc-typed
+    // `model` field.
     let diags = lint_with_patched_file("crates/workload/src/users.rs", |src| {
         src.replace(
             "fn fire_slot(&mut self, ctx: &mut SimCtx<'_>, slot: u32) {",

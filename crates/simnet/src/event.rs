@@ -58,7 +58,10 @@ const LEVELS: usize = 6;
 /// assert_eq!(q.pop().unwrap().1, "later");
 /// assert!(q.pop().is_none());
 /// ```
-#[derive(Debug)]
+///
+/// A clone is an exact fork: it keeps the `(time, seq)` FIFO counter and
+/// the wheel cursor, so the original and the copy pop identical sequences.
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// `LEVELS * SLOTS` buckets, flattened; bucket `level * SLOTS + slot`
     /// holds events whose level-`level` time digit is `slot`.
@@ -85,27 +88,6 @@ struct Entry<E> {
     time: SimTime,
     seq: u64,
     payload: E,
-}
-
-/// The queue's snapshot path: every field cloned explicitly, one line per
-/// field. A clone is an exact fork — it preserves the `(time, seq)` FIFO
-/// counter and the wheel cursor, so the original and the copy pop identical
-/// sequences. `simlint`'s `snapshot-complete` rule cross-checks this impl
-/// against the struct's field list, making a silently-missing field a CI
-/// failure instead of a stale fork.
-impl<E: Clone> Clone for EventQueue<E> {
-    fn clone(&self) -> Self {
-        EventQueue {
-            slots: self.slots.clone(),
-            occupied: self.occupied,
-            ready: self.ready.clone(),
-            overflow: self.overflow.clone(),
-            cursor: self.cursor,
-            scratch: self.scratch.clone(),
-            next_seq: self.next_seq,
-            len: self.len,
-        }
-    }
 }
 
 impl<E> EventQueue<E> {

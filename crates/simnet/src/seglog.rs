@@ -99,6 +99,7 @@ impl<T, I> Segment<T, I> {
 /// assert_eq!(fork.len(), 10);
 /// assert_eq!(log.last(), Some(&10));
 /// ```
+#[derive(Clone)]
 pub struct SegLog<T, I = ()> {
     /// Sealed segments, each exactly `seg_cap` items. The spine is shared
     /// whole on clone; segments are additionally shared individually so a
@@ -108,18 +109,6 @@ pub struct SegLog<T, I = ()> {
     tail: Vec<T>,
     /// Seal threshold (constant per log).
     seg_cap: usize,
-}
-
-// Manual per-field impl (not derived) so simlint's snapshot-complete rule
-// can verify every field is carried across a fork.
-impl<T: Clone, I> Clone for SegLog<T, I> {
-    fn clone(&self) -> Self {
-        SegLog {
-            sealed: self.sealed.clone(),
-            tail: self.tail.clone(),
-            seg_cap: self.seg_cap,
-        }
-    }
 }
 
 impl<T, I> Default for SegLog<T, I> {

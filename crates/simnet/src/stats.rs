@@ -1,6 +1,6 @@
 //! Online statistics used throughout the workspace.
 //!
-//! Four collectors cover the needs of monitors, the analytic model and the
+//! Three collectors cover the needs of monitors, the analytic model and the
 //! experiment harness:
 //!
 //! * [`Welford`] — numerically stable streaming mean/variance, O(1) memory.
@@ -10,8 +10,6 @@
 //! * [`SegSamples`] — copy-on-write [`SampleSet`] over a [`SegLog`] whose
 //!   segments are sorted at seal time, so snapshot/fork cost is O(tail)
 //!   while means and exact percentiles stay bit-identical.
-//! * [`Histogram`] — fixed-bin counts for memory-bounded percentile
-//!   estimates over very long runs.
 
 use crate::seglog::{SegIndex, SegLog};
 
@@ -251,7 +249,7 @@ impl FromIterator<f64> for SampleSet {
 /// The seal-time index of a [`SegSamples`] segment: its samples sorted
 /// ascending. The sort is stable, so ties keep insertion order — exactly
 /// what `SampleSet`'s lazy full sort does.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SortedRun(Vec<f64>);
 
 impl SortedRun {
@@ -299,7 +297,7 @@ impl SegIndex<f64> for SortedRun {
 /// let fork = s.clone(); // O(tail): sealed segments are Arc-shared
 /// assert_eq!(fork.len(), 100);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SegSamples {
     /// The samples in insertion order, each sealed segment indexed by its
     /// stable sort.
@@ -308,18 +306,6 @@ pub struct SegSamples {
     tail_sorted: Vec<f64>,
     /// Set by `push`, cleared when `tail_sorted` is rebuilt.
     tail_dirty: bool,
-}
-
-// Manual per-field impl (not derived) so simlint's snapshot-complete rule
-// can verify every field is carried across a fork.
-impl Clone for SegSamples {
-    fn clone(&self) -> Self {
-        SegSamples {
-            log: self.log.clone(),
-            tail_sorted: self.tail_sorted.clone(),
-            tail_dirty: self.tail_dirty,
-        }
-    }
 }
 
 impl PartialEq for SegSamples {
@@ -561,107 +547,6 @@ impl FromIterator<f64> for SegSamples {
     }
 }
 
-/// Fixed-bin histogram over `[0, upper)` with overflow bin.
-///
-/// Percentiles are linear-interpolated inside the matched bin; good enough
-/// for dashboards over multi-hour simulated runs where [`SampleSet`] would
-/// hold hundreds of millions of points.
-///
-/// # Example
-///
-/// ```
-/// let mut h = simnet::Histogram::new(100.0, 100);
-/// for x in 0..100 {
-///     h.record(x as f64);
-/// }
-/// let p50 = h.percentile(0.5);
-/// assert!((p50 - 50.0).abs() < 2.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    upper: f64,
-    bins: Vec<u64>,
-    overflow: u64,
-    count: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    /// Creates a histogram covering `[0, upper)` with `bins` equal bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `upper <= 0` or `bins == 0`.
-    pub fn new(upper: f64, bins: usize) -> Self {
-        assert!(upper > 0.0, "histogram upper bound must be positive");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            upper,
-            bins: vec![0; bins],
-            overflow: 0,
-            count: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Records one value. Values `>= upper` land in the overflow bin;
-    /// negative values clamp to bin zero.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        if x >= self.upper {
-            self.overflow += 1;
-            return;
-        }
-        let idx = ((x.max(0.0) / self.upper) * self.bins.len() as f64) as usize;
-        let idx = idx.min(self.bins.len() - 1);
-        self.bins[idx] += 1;
-    }
-
-    /// Total number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean of recorded values; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Estimated `q`-quantile. Returns `upper` when the quantile falls in
-    /// the overflow bin, `0.0` when the histogram is empty.
-    pub fn percentile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        let bin_width = self.upper / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            if seen + c >= target {
-                let into = (target - seen) as f64 / c.max(1) as f64;
-                return (i as f64 + into) * bin_width;
-            }
-            seen += c;
-        }
-        self.upper
-    }
-
-    /// Fraction of samples at or above `upper` (the overflow bin).
-    pub fn overflow_fraction(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.overflow as f64 / self.count as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,33 +683,6 @@ mod tests {
         // Merging an empty set is a no-op.
         a.merge(&SampleSet::new());
         assert_eq!(a.len(), 5);
-    }
-
-    #[test]
-    fn histogram_percentiles_approximate() {
-        let mut h = Histogram::new(1000.0, 1000);
-        for i in 0..10_000 {
-            h.record((i % 1000) as f64);
-        }
-        assert!((h.percentile(0.5) - 500.0).abs() < 5.0);
-        assert!((h.percentile(0.95) - 950.0).abs() < 5.0);
-        assert_eq!(h.count(), 10_000);
-    }
-
-    #[test]
-    fn histogram_overflow_and_clamp() {
-        let mut h = Histogram::new(10.0, 10);
-        h.record(-5.0);
-        h.record(50.0);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.overflow_fraction(), 0.5);
-        assert_eq!(h.percentile(1.0), 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "upper bound must be positive")]
-    fn histogram_rejects_bad_upper() {
-        Histogram::new(0.0, 4);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub fn think_tick_micros(mean_s: f64) -> u64 {
 /// itself: [`ThinkArena::schedule`] returns whether the caller must place
 /// a kernel wakeup for the tick, keeping the arena a pure, deterministic
 /// data structure.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThinkArena {
     /// Bucket granularity in microseconds (power of two).
     tick_micros: u64,
@@ -74,21 +74,6 @@ pub struct ThinkArena {
     overflow: Vec<(u64, u32)>,
     /// Live timers (for reporting; one per sleeping user).
     len: usize,
-}
-
-// The arena is live (non-history) state: snapshot/fork copies it with a
-// hand-written per-field Clone that simlint's `snapshot-complete` rule
-// keeps field-complete.
-impl Clone for ThinkArena {
-    fn clone(&self) -> Self {
-        ThinkArena {
-            tick_micros: self.tick_micros,
-            head: self.head.clone(),
-            next: self.next.clone(),
-            overflow: self.overflow.clone(),
-            len: self.len,
-        }
-    }
 }
 
 impl ThinkArena {

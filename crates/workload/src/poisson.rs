@@ -79,10 +79,6 @@ impl Agent for PoissonSource {
         ctx.submit(rt, origin);
         self.schedule_next(ctx);
     }
-
-    fn snapshot(&self) -> Option<microsim::AgentState> {
-        Some(microsim::AgentState::of(self))
-    }
 }
 
 #[cfg(test)]

@@ -226,7 +226,7 @@ impl BrowsingModel {
 ///
 /// The population records client-side latency statistics, which is what
 /// the paper's tables report as user-perceived response time.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ClosedLoopUsers {
     /// Immutable model shared by reference across forks (alias tables for
     /// a large catalogue are not worth copying into every 100k-user snapshot).
@@ -241,7 +241,8 @@ pub struct ClosedLoopUsers {
     unit_next: usize,
     /// Bucketed think timers.
     arena: ThinkArena,
-    /// Reused wake-batch buffer (drained slots of the firing bucket).
+    /// Reused wake-batch buffer (drained slots of the firing bucket);
+    /// empty between wakes, so a fork copies nothing.
     wake_scratch: Vec<u32>,
     /// Client-side latency stats (ms) over the whole run.
     latency: Welford,
@@ -259,30 +260,6 @@ pub struct ClosedLoopUsers {
     user_retries: u64,
     /// Failed responses users gave up on.
     abandoned: u64,
-}
-
-// Live population state forks through a hand-written per-field Clone
-// (simlint `snapshot-complete` keeps it field-complete); the model is an
-// Arc handle bump and the samples store is copy-on-write.
-impl Clone for ClosedLoopUsers {
-    fn clone(&self) -> Self {
-        ClosedLoopUsers {
-            model: Arc::clone(&self.model),
-            think_mean_s: self.think_mean_s,
-            states: self.states.clone(),
-            rng: self.rng.clone(),
-            unit_buf: self.unit_buf,
-            unit_next: self.unit_next,
-            arena: self.arena.clone(),
-            wake_scratch: Vec::new(),
-            latency: self.latency,
-            samples: self.samples.clone(),
-            record_after: self.record_after,
-            retry_prob: self.retry_prob,
-            user_retries: self.user_retries,
-            abandoned: self.abandoned,
-        }
-    }
 }
 
 impl ClosedLoopUsers {
@@ -455,6 +432,7 @@ impl Agent for ClosedLoopUsers {
         for &slot in &batch {
             self.fire_slot(ctx, slot);
         }
+        batch.clear();
         self.wake_scratch = batch;
     }
 
@@ -486,10 +464,6 @@ impl Agent for ClosedLoopUsers {
         let u = self.next_unit();
         self.states[slot] = self.model.next_state(self.states[slot] as usize, u) as u32;
         self.park(ctx, slot as u32);
-    }
-
-    fn snapshot(&self) -> Option<microsim::AgentState> {
-        Some(microsim::AgentState::of(self))
     }
 }
 
@@ -670,10 +644,6 @@ impl Agent for ClosedLoopUsersNaive {
         let state = self.users[user].state;
         self.users[user].state = self.model.next_state(state, self.rng.unit());
         self.think_then_park(ctx, user);
-    }
-
-    fn snapshot(&self) -> Option<microsim::AgentState> {
-        Some(microsim::AgentState::of(self))
     }
 }
 
