@@ -3,8 +3,6 @@
 //! feedback state, per-type damage, the full detection stack's verdicts,
 //! and white-box millibottleneck statistics. The first stop when tuning
 //! the Commander's feedback or investigating a regression.
-//!
-//! Set `GRUNT_DEBUG_PAIR=1` for per-pair probe dumps during profiling.
 use apps::social_network;
 use grunt::{CampaignConfig, GruntCampaign};
 use microsim::{SimConfig, Simulation};
@@ -61,14 +59,10 @@ fn main() {
         score.f_score()
     );
 
+    // Every ordered pair's sweep: (volume multiplier, interference seen).
     for p in &campaign.profile.pairs {
         let (a, b) = (p.attacker.index(), p.victim.index());
-        if (a == 4 || a == 5) && (b == 4 || b == 5) {
-            println!("  sweep {a}->{b}: {:?}", p.sweep);
-        }
-        if (a == 4 && b == 6) || (a == 6 && b == 4) {
-            println!("  sweep {a}->{b}: {:?}", p.sweep);
-        }
+        println!("  sweep {a}->{b}: {:?}", p.sweep);
     }
     for (a, b, d) in campaign.profile.groups.pairs() {
         if d.is_dependent() {

@@ -397,19 +397,6 @@ impl Profiler {
                     .count();
                 let hit = inflated * 3 >= self.probe_results.len().max(1);
                 let mult = self.cfg.volume_multipliers[mult_idx];
-                // Gates debug output to stderr only — no simulated state
-                // depends on it. simlint: allow(nondet-source)
-                if std::env::var("GRUNT_DEBUG_PAIR").is_ok() {
-                    eprintln!(
-                        "DBG pair {}->{} mult {:.1}: probes {:?} thr {:.0} hit {}",
-                        a.index(),
-                        b.index(),
-                        mult,
-                        self.probe_results,
-                        threshold,
-                        hit
-                    );
-                }
                 self.sweep_acc.push((mult, hit));
                 self.probe_victim = None;
 

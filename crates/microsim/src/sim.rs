@@ -22,7 +22,7 @@ use crate::snapshot::SimSnapshot;
 #[derive(Clone)]
 pub struct Simulation {
     kernel: Kernel,
-    pub(crate) agents: Vec<Option<Box<dyn Agent>>>,
+    agents: Vec<Option<Box<dyn Agent>>>,
     started: Vec<bool>,
     /// Reused buffer for outbox batches (swapped with the kernel outbox so
     /// neither side reallocates in the steady state).

@@ -53,23 +53,8 @@ const _: () = {
     fork_safe::<SimSnapshot>();
 };
 
-impl SimSnapshot {
-    /// The simulated time at which this snapshot was taken.
-    pub fn taken_at(&self) -> simnet::SimTime {
-        self.0.now()
-    }
-
-    /// Number of agents captured in this snapshot.
-    pub fn num_agents(&self) -> usize {
-        self.0.agents.len()
-    }
-}
-
 impl fmt::Debug for SimSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimSnapshot")
-            .field("taken_at", &self.taken_at())
-            .field("agents", &self.num_agents())
-            .finish()
+        f.debug_tuple("SimSnapshot").field(&self.0).finish()
     }
 }

@@ -123,9 +123,27 @@ pub fn parse_items(toks: &[Token]) -> Vec<FnItem> {
             i += 1;
             continue;
         }
+        if t.is_ident("trait") {
+            if let Some((name, open)) = parse_trait_header(toks, i) {
+                let mut generics = type_params(toks, i + 2);
+                // In a default body `Self` is the implementing type, i.e. a
+                // type parameter: `Self::f(..)` may run any impl of `f`.
+                generics.push("Self".to_string());
+                ctx.push(ImplCtx {
+                    depth: depth + 1,
+                    ty: name.clone(),
+                    tr: Some(name),
+                    generics,
+                });
+                i = open;
+                continue;
+            }
+            i += 1;
+            continue;
+        }
         if t.is_ident("fn") {
             if let Some((item, next)) = parse_fn(toks, i, ctx.last()) {
-                fns.push(item);
+                fns.extend(item);
                 i = next;
                 continue;
             }
@@ -137,16 +155,27 @@ pub fn parse_items(toks: &[Token]) -> Vec<FnItem> {
     fns
 }
 
-/// One enclosing `impl` block.
+/// One enclosing `impl` or `trait` block. A trait's default bodies are
+/// recorded with the trait as both impl type and trait, so method-syntax
+/// and `T::method(..)` calls reach them and plain `method(..)` calls do not.
 struct ImplCtx {
-    /// Brace depth at which the impl body opened.
+    /// Brace depth at which the block's body opened.
     depth: i32,
-    /// The impl's self type.
+    /// The impl's self type (the trait's own name for a trait block).
     ty: String,
-    /// The implemented trait, if any.
+    /// The implemented (or declared) trait, if any.
     tr: Option<String>,
-    /// The impl's type parameters.
+    /// The block's type parameters (plus `Self` for a trait block).
     generics: Vec<String>,
+}
+
+/// Parses a `trait` header at index `i` (`trait Name [<..>] [: bounds]
+/// [where ..] {`); returns the trait's name and the index of the body's
+/// opening brace.
+fn parse_trait_header(toks: &[Token], i: usize) -> Option<(String, usize)> {
+    let name = toks.get(i + 1).and_then(Token::ident)?.to_string();
+    let open = find_body_open(toks, skip_angles(toks, i + 2))?;
+    Some((name, open))
 }
 
 /// Parses an `impl` header at index `i` (`impl [<..>] [Trait for] Type
@@ -287,9 +316,10 @@ fn find_body_open(toks: &[Token], j: usize) -> Option<usize> {
 }
 
 /// Parses one `fn` item whose `fn` keyword is at index `i`; returns the item
-/// and the index one past its body (or one past the `;` for body-less
-/// declarations, returned as `None` item-wise only when nothing parses).
-fn parse_fn(toks: &[Token], i: usize, ctx: Option<&ImplCtx>) -> Option<(FnItem, usize)> {
+/// and the index one past its body. A body-less declaration (a trait method
+/// without a default, an `extern` fn) yields no item and the index one past
+/// its `;`; `None` means nothing parses.
+fn parse_fn(toks: &[Token], i: usize, ctx: Option<&ImplCtx>) -> Option<(Option<FnItem>, usize)> {
     let name = toks.get(i + 1).and_then(Token::ident)?.to_string();
     let line = toks[i].line;
     let is_pub = fn_is_pub(toks, i);
@@ -305,26 +335,13 @@ fn parse_fn(toks: &[Token], i: usize, ctx: Option<&ImplCtx>) -> Option<(FnItem, 
     j = skip_balanced(toks, j, '(', ')');
     // Return type / where clause, up to the body or a `;`.
     let Some(open) = find_body_open(toks, j) else {
-        // Trait method declaration without a body.
-        return Some((
-            FnItem {
-                name,
-                impl_type,
-                impl_trait,
-                generics,
-                is_pub,
-                line,
-                body: (0, 0),
-                calls: Vec::new(),
-            },
-            j + 1,
-        ));
+        return Some((None, j + 1));
     };
     let close = matching_brace(toks, open);
     let body = (open + 1, close);
     let calls = extract_calls(&toks[body.0..body.1]);
     Some((
-        FnItem {
+        Some(FnItem {
             name,
             impl_type,
             impl_trait,
@@ -333,7 +350,7 @@ fn parse_fn(toks: &[Token], i: usize, ctx: Option<&ImplCtx>) -> Option<(FnItem, 
             line,
             body,
             calls,
-        },
+        }),
         close + 1,
     ))
 }
@@ -620,8 +637,44 @@ fn body() {
     fn trait_decls_without_bodies_parse() {
         let src = "trait T { fn a(&self); fn b(&self) { self.a() } }";
         let fns = items(src);
-        assert_eq!(fns.len(), 2);
-        assert!(fns[0].calls.is_empty());
-        assert_eq!(fns[1].calls[0].name, "a");
+        assert_eq!(fns.len(), 1);
+        assert_eq!(fns[0].name, "b");
+        assert_eq!(fns[0].calls[0].name, "a");
+    }
+
+    #[test]
+    fn trait_default_bodies_carry_their_trait_and_declarations_are_skipped() {
+        let src = r"
+pub trait SegIndex<T>: Clone + Send where T: Copy {
+    fn build(items: &[T]) -> Self;
+    fn rebuild(items: &[T]) -> Self { Self::build(items) }
+}
+extern { fn ext(x: u32); }
+fn after() {}
+";
+        let fns = items(src);
+        let got: Vec<_> = fns
+            .iter()
+            .map(|f| {
+                (
+                    f.name.as_str(),
+                    f.impl_type.as_deref(),
+                    f.impl_trait.as_deref(),
+                    f.generics.clone(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (
+                    "rebuild",
+                    Some("SegIndex"),
+                    Some("SegIndex"),
+                    vec!["T".to_string(), "Self".to_string()]
+                ),
+                ("after", None, None, vec![]),
+            ]
+        );
     }
 }

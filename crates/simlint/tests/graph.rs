@@ -346,3 +346,42 @@ fn a_call_on_a_type_parameter_reaches_a_trait_impl_for_the_unit_type() {
     let names: Vec<String> = hot.keys().map(|&id| g.qualified_name(id)).collect();
     assert!(!names.contains(&"()::build".to_string()), "got: {names:?}");
 }
+
+#[test]
+fn trait_default_bodies_are_reached_through_the_trait_not_by_plain_calls() {
+    // A trait's body-less declarations are not functions, and its default
+    // bodies are methods of the trait: `I::rebuild(..)` reaches the default
+    // body (and its `Self::build(..)` every impl of `build`), while plain
+    // `build()`/`rebuild()` calls name free functions and reach neither.
+    let m = model(
+        &[(
+            "crates/demo/src/lib.rs",
+            r"
+            trait SegIndex<T> {
+                fn build(items: &[T]) -> Self;
+                fn rebuild(items: &[T]) -> Self { Self::build(items) }
+            }
+            impl<T> SegIndex<T> for () {
+                fn build(_items: &[T]) -> Self {}
+            }
+            struct Log<T, I> { tail: Vec<T>, index: I }
+            impl<T, I: SegIndex<T>> Log<T, I> {
+                pub fn push(&mut self) { self.index = I::rebuild(&self.tail); }
+            }
+            struct Other;
+            impl Other {
+                pub fn go(&self) { build(); rebuild(); }
+            }
+            ",
+        )],
+        &[],
+    );
+    let g = FnGraph::build(&m.files);
+    let (hot, missing) = g.hot_set(&[("Log", "push")]);
+    assert!(missing.is_empty());
+    let names: Vec<String> = hot.keys().map(|&id| g.qualified_name(id)).collect();
+    assert_eq!(names, ["SegIndex::rebuild", "()::build", "Log::push"]);
+    let (hot, _) = g.hot_set(&[("Other", "go")]);
+    let names: Vec<String> = hot.keys().map(|&id| g.qualified_name(id)).collect();
+    assert_eq!(names, ["Other::go"]);
+}

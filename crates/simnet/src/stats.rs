@@ -4,12 +4,14 @@
 //! experiment harness:
 //!
 //! * [`Welford`] — numerically stable streaming mean/variance, O(1) memory.
-//! * [`SampleSet`] — keeps every sample for exact percentiles; used for
-//!   response-time distributions where exactness matters (the paper reports
-//!   p95 latencies).
+//! * [`SampleSet`] — keeps every sample for exact percentiles, selected in
+//!   O(n) per query; used for response-time distributions where exactness
+//!   matters (the paper reports p95 latencies).
 //! * [`SegSamples`] — copy-on-write [`SampleSet`] over a [`SegLog`] whose
 //!   segments are sorted at seal time, so snapshot/fork cost is O(tail)
 //!   while means and exact percentiles stay bit-identical.
+//!
+//! Both answer percentiles by the nearest-rank rule of [`nearest_rank`].
 
 use crate::seglog::{SegIndex, SegLog};
 
@@ -122,7 +124,37 @@ impl Welford {
     }
 }
 
+/// The 0-based index of the nearest-rank `q`-quantile among `len` sorted
+/// samples: `ceil(len · q) − 1`, clamped to `[0, len − 1]`, with `q`
+/// clamped to `[0, 1]`.
+///
+/// # Example
+///
+/// ```
+/// assert_eq!(simnet::nearest_rank(100, 0.95), 94);
+/// assert_eq!(simnet::nearest_rank(100, 0.0), 0);
+/// assert_eq!(simnet::nearest_rank(100, 1.0), 99);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `len` is zero.
+pub fn nearest_rank(len: usize, q: f64) -> usize {
+    assert!(len > 0, "nearest rank of an empty sample");
+    let q = q.clamp(0.0, 1.0);
+    (((len as f64 * q).ceil() as usize).max(1) - 1).min(len - 1)
+}
+
+/// Ascending order of samples; a NaN sample has no place in it.
+fn by_value(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).expect("NaN sample")
+}
+
 /// Exact percentile collector: retains every sample.
+///
+/// Percentile queries select the requested rank in place
+/// (`select_nth_unstable_by`, O(n)), so they permute the samples: `mean`
+/// sums in insertion order only when it is called before any percentile.
 ///
 /// # Example
 ///
@@ -131,21 +163,19 @@ impl Welford {
 /// for x in 1..=100 {
 ///     s.push(x as f64);
 /// }
+/// assert_eq!(s.mean(), 50.5);
 /// assert_eq!(s.percentile(0.95), 95.0);
+/// assert_eq!(s.percentiles([0.5, 0.99]), [50.0, 99.0]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SampleSet {
     samples: Vec<f64>,
-    sorted: bool,
 }
 
 impl SampleSet {
     /// Creates an empty collector.
     pub fn new() -> Self {
-        SampleSet {
-            samples: Vec::new(),
-            sorted: true,
-        }
+        SampleSet::default()
     }
 
     /// Creates an empty collector with room for `n` samples — callers that
@@ -154,23 +184,20 @@ impl SampleSet {
     pub fn with_capacity(n: usize) -> Self {
         SampleSet {
             samples: Vec::with_capacity(n),
-            sorted: true,
         }
     }
 
     /// Adds one sample.
     pub fn push(&mut self, x: f64) {
         self.samples.push(x);
-        self.sorted = false;
     }
 
     /// Appends all of `other`'s samples, preserving `other`'s current
-    /// order. Percentiles over the merged set are exact: they re-sort over
+    /// order. Percentiles over the merged set are exact: they select over
     /// the union, so merging is order-insensitive for every statistic
     /// except the (insertion-ordered) `mean` accumulation.
     pub fn merge(&mut self, other: &SampleSet) {
         self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
     }
 
     /// Number of samples.
@@ -183,7 +210,8 @@ impl SampleSet {
         self.samples.is_empty()
     }
 
-    /// Arithmetic mean; `0.0` when empty.
+    /// Arithmetic mean, summed in the samples' current order; `0.0` when
+    /// empty.
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
@@ -191,22 +219,53 @@ impl SampleSet {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 
-    /// The `q`-quantile (nearest-rank), `q` in `[0, 1]`; `0.0` when empty.
+    /// The `q`-quantile (nearest-rank, see [`nearest_rank`]), `q` in
+    /// `[0, 1]`; `0.0` when empty.
     ///
-    /// Sorting is done lazily and cached, so repeated percentile queries are
-    /// cheap.
+    /// Selects the rank in O(n) and leaves the samples permuted around it.
+    /// The answer is bit-identical to indexing a sorted copy: the
+    /// nearest-rank element is the same in every ascending order, and
+    /// samples that compare equal are bit-identical except `+0.0` and
+    /// `−0.0`, which only a set holding both can tell apart. (Latencies are
+    /// whole microseconds converted to milliseconds, never `−0.0`.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if any sample is NaN.
     pub fn percentile(&mut self, q: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            self.sorted = true;
+        let rank = nearest_rank(self.samples.len(), q);
+        *self.samples.select_nth_unstable_by(rank, by_value).1
+    }
+
+    /// Several quantiles at once, `qs` ascending; all `0.0` when empty.
+    ///
+    /// Each answer equals [`SampleSet::percentile`] of its `q`. The first
+    /// rank is selected over all samples; each later one only in the
+    /// suffix right of the previous rank, where every sample is ≥ it, so
+    /// p95 + p99 cost about 1.05 passes instead of two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `q` has a lower rank than the one before it (`qs` not
+    /// ascending) or any sample is NaN.
+    pub fn percentiles<const N: usize>(&mut self, qs: [f64; N]) -> [f64; N] {
+        let mut out = [0.0; N];
+        if self.samples.is_empty() {
+            return out;
         }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((self.samples.len() as f64 * q).ceil() as usize).max(1) - 1;
-        self.samples[rank.min(self.samples.len() - 1)]
+        let mut lo = 0;
+        for (slot, q) in out.iter_mut().zip(qs) {
+            let rank = nearest_rank(self.samples.len(), q);
+            assert!(rank >= lo, "percentiles: quantiles must be ascending");
+            *slot = *self.samples[lo..]
+                .select_nth_unstable_by(rank - lo, by_value)
+                .1;
+            lo = rank;
+        }
+        out
     }
 
     /// Largest sample; `0.0` when empty.
@@ -217,24 +276,11 @@ impl SampleSet {
             .fold(f64::NEG_INFINITY, f64::max)
             .max(0.0)
     }
-
-    /// Read-only view of the raw samples (in insertion or sorted order,
-    /// whichever is current).
-    pub fn as_slice(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Removes all samples.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-        self.sorted = true;
-    }
 }
 
 impl Extend<f64> for SampleSet {
     fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
         self.samples.extend(iter);
-        self.sorted = false;
     }
 }
 
@@ -247,8 +293,8 @@ impl FromIterator<f64> for SampleSet {
 }
 
 /// The seal-time index of a [`SegSamples`] segment: its samples sorted
-/// ascending. The sort is stable, so ties keep insertion order — exactly
-/// what `SampleSet`'s lazy full sort does.
+/// ascending. The sort is stable, so ties keep insertion order and the
+/// k-way merge over all runs reproduces one stable sort of every sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SortedRun(Vec<f64>);
 
@@ -262,7 +308,7 @@ impl SortedRun {
 impl SegIndex<f64> for SortedRun {
     fn build(items: &[f64]) -> Self {
         let mut sorted = items.to_vec(); // simlint: allow(hot-path-alloc) — amortized: one sort copy per seal
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+        sorted.sort_by(by_value);
         SortedRun(sorted)
     }
 }
@@ -281,10 +327,12 @@ impl SegIndex<f64> for SortedRun {
 /// sequence: `mean` folds in insertion order, `max` replicates the
 /// `fold(NEG_INFINITY, f64::max).max(0.0)` quirk, and `percentile` /
 /// [`SegSamples::nth_smallest`] select by a k-way merge of the per-segment
-/// stable sorts, which reproduces the lazy full stable sort's order
-/// (including ties). The one intentional difference: `SampleSet::mean`
-/// reflects *sorted* order after a `percentile` call has sorted it in
-/// place; `SegSamples::mean` always folds in insertion order.
+/// stable sorts, which reproduces one stable sort of all samples
+/// (including ties) — an algorithm independent of `SampleSet`'s in-place
+/// selection, so each checks the other. The one intentional difference:
+/// `SampleSet::mean` sums in whatever order a `percentile` call has
+/// permuted its samples into; `SegSamples::mean` always folds in insertion
+/// order.
 ///
 /// # Example
 ///
@@ -342,9 +390,7 @@ impl PartialOrd for MergeCursor {
 
 impl Ord for MergeCursor {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.val
-            .partial_cmp(&other.val)
-            .expect("NaN sample")
+        by_value(&self.val, &other.val)
             .then(self.list.cmp(&other.list))
             .then(self.pos.cmp(&other.pos))
     }
@@ -406,15 +452,13 @@ impl SegSamples {
 
     /// The `q`-quantile (nearest-rank), `q` in `[0, 1]`; `0.0` when empty.
     ///
-    /// Matches `SampleSet::percentile` exactly: same rank formula, same
-    /// stable ordering of ties.
+    /// Matches `SampleSet::percentile` exactly: the same [`nearest_rank`],
+    /// read from the merged stable sort instead of selected in place.
     pub fn percentile(&mut self, q: f64) -> f64 {
         if self.is_empty() {
             return 0.0;
         }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((self.len() as f64 * q).ceil() as usize).max(1) - 1;
-        self.nth_smallest(rank.min(self.len() - 1))
+        self.nth_smallest(nearest_rank(self.len(), q))
     }
 
     /// The sample at `rank` (0-based) of the stable ascending sort —
@@ -433,8 +477,7 @@ impl SegSamples {
         if self.tail_dirty {
             self.tail_sorted.clear();
             self.tail_sorted.extend_from_slice(self.log.tail());
-            self.tail_sorted
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+            self.tail_sorted.sort_by(by_value);
             self.tail_dirty = false;
         }
         let runs: Vec<&[f64]> = self
@@ -639,6 +682,10 @@ mod tests {
         assert_eq!(s.percentile(1.0), 1000.0);
         assert_eq!(s.percentile(0.0), 1.0);
         assert_eq!(s.len(), 1000);
+        assert_eq!(
+            s.percentiles([0.0, 0.5, 0.95, 0.95, 1.0]),
+            [1.0, 500.0, 950.0, 950.0, 1000.0]
+        );
     }
 
     #[test]
@@ -647,6 +694,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.percentile(0.5), 0.0);
+        assert_eq!(s.percentiles([0.95, 0.99]), [0.0, 0.0]);
     }
 
     #[test]
@@ -683,6 +731,23 @@ mod tests {
         // Merging an empty set is a no-op.
         a.merge(&SampleSet::new());
         assert_eq!(a.len(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn sample_set_percentiles_reject_descending_quantiles() {
+        let mut s: SampleSet = (1..=10).map(|i| i as f64).collect();
+        s.percentiles([0.99, 0.5]);
+    }
+
+    #[test]
+    fn nearest_rank_clamps_to_the_sample() {
+        assert_eq!(nearest_rank(1, 0.0), 0);
+        assert_eq!(nearest_rank(1, 1.0), 0);
+        assert_eq!(nearest_rank(20, 0.95), 18);
+        assert_eq!(nearest_rank(20, 0.951), 19);
+        assert_eq!(nearest_rank(20, -3.0), 0);
+        assert_eq!(nearest_rank(20, 7.0), 19);
     }
 
     #[test]

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use simnet::{
-    derive_seed, EventQueue, HeapEventQueue, RngStream, SampleSet, SegIndex, SegLog, SegSamples,
-    SimDuration, SimTime, SortedRun, Welford,
+    derive_seed, nearest_rank, EventQueue, HeapEventQueue, RngStream, SampleSet, SegIndex, SegLog,
+    SegSamples, SimDuration, SimTime, SortedRun, Welford,
 };
 
 /// Checks a segmented log against its flat `Vec` model: length, layout
@@ -209,6 +209,38 @@ proptest! {
         let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert_eq!(lo, min);
         prop_assert_eq!(hi, max);
+    }
+
+    /// Selection against a sort: `percentiles(qs)` and successive
+    /// `percentile(q)` calls (ascending, then descending, on the same
+    /// permuted buffer) return, bit for bit, the nearest-rank element of a
+    /// stably sorted copy. Samples mix a small duplicate-heavy grid
+    /// (negative, zero, positive) with wide values; `qs` always include 0
+    /// and 1 and are drawn from a grid, so repeated ranks occur too.
+    #[test]
+    fn selected_percentiles_match_sorted_copy(
+        xs in prop::collection::vec(
+            (0u8..2, -20i32..20, -1e9f64..1e9)
+                .prop_map(|(wide, i, x)| if wide == 0 { f64::from(i) * 0.5 } else { x }),
+            1..300,
+        ),
+        mid in prop::collection::vec((0u32..=100).prop_map(|i| f64::from(i) / 100.0), 4..5),
+    ) {
+        let mut sorted = xs.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+        let mut inner = mid.clone();
+        inner.sort_by(|a, b| a.partial_cmp(b).expect("NaN quantile"));
+        let qs = [0.0, inner[0], inner[1], inner[2], inner[3], 1.0];
+        let expect = qs.map(|q| sorted[nearest_rank(sorted.len(), q)].to_bits());
+
+        let mut batch: SampleSet = xs.iter().copied().collect();
+        prop_assert_eq!(batch.percentiles(qs).map(f64::to_bits), expect);
+        prop_assert_eq!(batch.len(), xs.len());
+
+        let mut single: SampleSet = xs.iter().copied().collect();
+        for (q, want) in qs.iter().zip(expect).chain(qs.iter().zip(expect).rev()) {
+            prop_assert_eq!(single.percentile(*q).to_bits(), want, "q={}", q);
+        }
     }
 
     /// Differential test: the segmented COW store and the flat reference

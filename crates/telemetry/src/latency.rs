@@ -2,7 +2,7 @@
 
 use callgraph::RequestTypeId;
 use microsim::{Metrics, RequestFilter, RequestRecord};
-use simnet::{SampleSet, SimDuration, SimTime};
+use simnet::{nearest_rank, SampleSet, SimDuration, SimTime};
 
 /// Which traffic class to include when analysing latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,10 +59,11 @@ impl LatencySummary {
     /// O(matching records) — including the `Traffic::All` + no-type shape,
     /// which resolves the time range by binary search instead of testing
     /// every record. Samples are gathered in completion order (exactly the
-    /// order the naive scan pushes them), so every statistic — means and
-    /// exact sorted percentiles alike — is **bit-identical** to
-    /// [`LatencySummary::compute_naive`]; a differential proptest asserts
-    /// this.
+    /// order the naive scan pushes them) and the mean is summed before the
+    /// percentiles are selected, so every statistic — means and exact
+    /// nearest-rank percentiles alike — is **bit-identical** to
+    /// [`LatencySummary::compute_naive`], which sorts instead of selecting;
+    /// a differential proptest asserts this.
     pub fn compute(
         metrics: &Metrics,
         traffic: Traffic,
@@ -90,18 +91,23 @@ impl LatencySummary {
         log.for_each_matching(from, to, filter, |rec| {
             set.push(rec.latency().as_millis_f64());
         });
+        // `mean` sums in the samples' current order, so read it (and the
+        // rest) before `percentiles` permutes them.
+        let (count, avg_ms, max_ms) = (set.len(), set.mean(), set.max());
+        let [p95_ms, p99_ms] = set.percentiles([0.95, 0.99]);
         LatencySummary {
-            count: set.len(),
-            avg_ms: set.mean(),
-            p95_ms: set.percentile(0.95),
-            p99_ms: set.percentile(0.99),
-            max_ms: set.max(),
+            count,
+            avg_ms,
+            p95_ms,
+            p99_ms,
+            max_ms,
         }
     }
 
     /// Reference implementation of [`LatencySummary::compute`]: a full
-    /// scan of the request log with predicate filtering. Kept public as
-    /// the ground truth for differential tests and benches.
+    /// scan of the request log with predicate filtering, and percentiles
+    /// read from a stable sort of the matches rather than selected. Kept
+    /// public as the ground truth for differential tests and benches.
     pub fn compute_naive(
         metrics: &Metrics,
         traffic: Traffic,
@@ -109,7 +115,7 @@ impl LatencySummary {
         from: SimTime,
         to: SimTime,
     ) -> Self {
-        let mut set = SampleSet::new();
+        let mut samples = Vec::new();
         for rec in metrics.request_log() {
             if rec.completed_at < from || rec.completed_at >= to {
                 continue;
@@ -122,9 +128,9 @@ impl LatencySummary {
                     continue;
                 }
             }
-            set.push(rec.latency().as_millis_f64());
+            samples.push(rec.latency().as_millis_f64());
         }
-        if set.is_empty() {
+        if samples.is_empty() {
             return LatencySummary {
                 count: 0,
                 avg_ms: 0.0,
@@ -133,12 +139,20 @@ impl LatencySummary {
                 max_ms: 0.0,
             };
         }
+        let n = samples.len();
+        let avg_ms = samples.iter().sum::<f64>() / n as f64;
+        let max_ms = samples
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
+            .max(0.0);
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
         LatencySummary {
-            count: set.len(),
-            avg_ms: set.mean(),
-            p95_ms: set.percentile(0.95),
-            p99_ms: set.percentile(0.99),
-            max_ms: set.max(),
+            count: n,
+            avg_ms,
+            p95_ms: samples[nearest_rank(n, 0.95)],
+            p99_ms: samples[nearest_rank(n, 0.99)],
+            max_ms,
         }
     }
 }
