@@ -5,6 +5,10 @@ use simnet::{SimDuration, SimTime};
 use workload::ClosedLoopUsers;
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "example harness: argv picks the population size"
+    )]
     let users: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -13,6 +17,10 @@ fn main() {
     let mut sim = Simulation::new(app.topology().clone(), SimConfig::default().seed(1));
     let pop = ClosedLoopUsers::new(users, app.browsing_model(), 42);
     let id = sim.add_agent(Box::new(pop));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "example harness: wall time echoed on stderr"
+    )]
     let t0 = std::time::Instant::now();
     sim.run_until(SimTime::from_secs(120));
     eprintln!("wall: {:?}", t0.elapsed());

@@ -157,7 +157,7 @@ impl MediaService {
             .collect();
 
         let mut builder = TopologyBuilder::new();
-        let mut ids: std::collections::HashMap<&str, ServiceId> = Default::default();
+        let mut ids: std::collections::BTreeMap<&str, ServiceId> = Default::default();
         for name in &names {
             let spec = if *name == "nginx" || *name == "trailer-cdn" {
                 // Edge tiers: effectively unbounded workers.

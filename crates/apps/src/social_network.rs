@@ -248,7 +248,7 @@ impl SocialNetwork {
         }
 
         let mut builder = TopologyBuilder::new();
-        let mut ids: std::collections::HashMap<&str, ServiceId> = Default::default();
+        let mut ids: std::collections::BTreeMap<&str, ServiceId> = Default::default();
         for name in &service_names {
             let spec = if *name == "nginx" {
                 // Frontend: many lightweight workers, effectively

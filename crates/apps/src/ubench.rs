@@ -195,7 +195,7 @@ impl UBench {
 
         // Build the topology: gateway first, then services in plan order.
         let mut builder = TopologyBuilder::new();
-        let mut ids: std::collections::HashMap<String, ServiceId> = Default::default();
+        let mut ids: std::collections::BTreeMap<String, ServiceId> = Default::default();
         ids.insert(
             "gateway".into(),
             builder.add_service(

@@ -18,6 +18,11 @@
 //! match none — writing no JSON and exiting nonzero on any mismatch (CI runs
 //! this). Any other argument exits 2 with a usage line.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock benchmark: it reads the clock and argv by design"
+)]
+
 use callgraph::{RequestTypeId, ServiceSpec, TopologyBuilder};
 use microsim::agents::FixedRate;
 use microsim::{Metrics, Origin, ResilienceConfig, ResiliencePolicy, SimConfig, Simulation};

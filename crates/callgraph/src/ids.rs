@@ -93,15 +93,17 @@ impl From<RequestTypeId> for usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn ids_are_ordered_and_hashable() {
         let a = ServiceId::new(1);
         let b = ServiceId::new(2);
         assert!(a < b);
-        let set: HashSet<ServiceId> = [a, b, a].into_iter().collect();
+        let set: BTreeSet<ServiceId> = [a, b, a].into_iter().collect();
         assert_eq!(set.len(), 2);
+        fn hashable<T: std::hash::Hash>(_: &T) {}
+        hashable(&a);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The application topology: all services plus all supported request types.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use simnet::SimDuration;
@@ -127,7 +127,7 @@ impl Topology {
 pub struct TopologyBuilder {
     services: Vec<ServiceSpec>,
     request_types: Vec<RequestTypeSpec>,
-    names: HashMap<String, ServiceId>,
+    names: BTreeMap<String, ServiceId>,
 }
 
 impl TopologyBuilder {

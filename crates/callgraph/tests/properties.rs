@@ -14,7 +14,7 @@ fn chain_strategy() -> impl Strategy<Value = Vec<(u32, u64)>> {
 
 fn dedup_chain(raw: Vec<(u32, u64)>) -> Vec<(ServiceId, SimDuration)> {
     // A path visits each service at most once (chains, not cycles).
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     raw.into_iter()
         .filter(|(s, _)| seen.insert(*s))
         .map(|(s, d)| (ServiceId::new(s), SimDuration::from_millis(d)))
@@ -80,7 +80,7 @@ proptest! {
         prop_assume!(!paths.is_empty());
         let groups = DependencyGroups::from_ground_truth(&paths);
         // Partition: each member appears exactly once.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for g in groups.groups() {
             for rt in g {
                 prop_assert!(seen.insert(*rt), "{rt} in two groups");

@@ -21,7 +21,15 @@ fn main() {
     )));
     // Warm up baseline.
     sim.run_until(SimTime::from_secs(30));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "example harness: wall time echoed on stderr"
+    )]
     let t0 = std::time::Instant::now();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "example harness: the attack window is a run parameter, read before the run"
+    )]
     let window: u64 = std::env::var("GRUNT_ATTACK_SECS")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -121,7 +129,7 @@ fn main() {
             .map(|(_, _, v)| *v)
             .collect();
         let last = tmins.last().copied().unwrap_or(0.0);
-        let paths: std::collections::HashSet<_> = campaign
+        let paths: std::collections::BTreeSet<_> = campaign
             .report
             .bursts_for_group(gi)
             .map(|b| b.path.index())

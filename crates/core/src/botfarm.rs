@@ -132,7 +132,7 @@ mod tests {
     fn allocates_distinct_origins() {
         let mut farm = BotFarm::new(10, SimDuration::from_secs(3));
         let origins = farm.allocate(10, SimTime::ZERO);
-        let ips: std::collections::HashSet<u32> = origins.iter().map(|o| o.ip).collect();
+        let ips: std::collections::BTreeSet<u32> = origins.iter().map(|o| o.ip).collect();
         assert_eq!(ips.len(), 10);
         assert!(origins.iter().all(|o| o.is_attack));
     }
@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn bots_never_violate_interval() {
         let mut farm = BotFarm::new(4, SimDuration::from_secs(3));
-        let mut last: std::collections::HashMap<u32, SimTime> = Default::default();
+        let mut last: std::collections::BTreeMap<u32, SimTime> = Default::default();
         for step in 0..50u64 {
             let now = SimTime::from_millis(step * 700);
             for o in farm.allocate(2, now) {

@@ -213,11 +213,6 @@ impl GruntCommander {
         self.farm.size()
     }
 
-    /// Number of groups under attack.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Active paths per group (grows under feedback).
     pub fn active_paths(&self) -> Vec<usize> {
         self.groups.iter().map(|g| g.active).collect()
@@ -324,7 +319,7 @@ impl GruntCommander {
         // launching every `cooldown / k` tiles the blockades back-to-back
         // so the group's blocking never lapses. The feedback factor eases
         // the cadence when the damage goal is exceeded.
-        let clusters: std::collections::HashSet<usize> = g
+        let clusters: std::collections::BTreeSet<usize> = g
             .ranked
             .iter()
             .take(g.active.max(1))

@@ -3,7 +3,7 @@
 use callgraph::RequestTypeId;
 use microsim::Response;
 use simnet::{SimDuration, SimTime};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Bookkeeping for one attacking (or probing) burst.
 ///
@@ -25,7 +25,7 @@ pub struct BurstObservation {
     pub started: SimTime,
     /// Number of requests sent.
     pub sent: u32,
-    tokens: HashSet<u64>,
+    tokens: BTreeSet<u64>,
     responses: u32,
     first_end: Option<SimTime>,
     last_end: Option<SimTime>,
@@ -40,7 +40,7 @@ impl BurstObservation {
             path,
             started,
             sent,
-            tokens: HashSet::with_capacity(sent as usize),
+            tokens: BTreeSet::new(),
             responses: 0,
             first_end: None,
             last_end: None,

@@ -26,7 +26,7 @@
 //! Probes still in flight at finalisation count as *inflated* — an
 //! unanswered probe is the strongest possible interference signal.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use callgraph::{DependencyGroups, PairwiseDependency, RequestTypeId};
 use microsim::{Agent, Response, SimCtx};
@@ -160,7 +160,7 @@ pub struct Profiler {
     action_seq: u64,
     catalog: Vec<(RequestTypeId, String)>,
     // Baseline phase.
-    baseline_samples: HashMap<RequestTypeId, SegSamples>,
+    baseline_samples: BTreeMap<RequestTypeId, SegSamples>,
     baseline_ms: BTreeMap<RequestTypeId, f64>,
     // Saturation phase.
     v_sat: BTreeMap<RequestTypeId, u32>,
@@ -170,7 +170,7 @@ pub struct Profiler {
     // Pair phase.
     ordered_pairs: Vec<(RequestTypeId, RequestTypeId)>,
     probe_results: Vec<Option<f64>>, // RT ms per probe, None = in flight/unsent
-    probe_token_index: HashMap<u64, usize>,
+    probe_token_index: BTreeMap<u64, usize>,
     probe_victim: Option<RequestTypeId>,
     pair_results: Vec<PairObservation>,
     sweep_acc: Vec<(f64, bool)>,
@@ -179,7 +179,7 @@ pub struct Profiler {
     requests_sent: u64,
     outcome: Option<ProfilerOutcome>,
     // Baseline probe token routing.
-    baseline_tokens: HashMap<u64, RequestTypeId>,
+    baseline_tokens: BTreeMap<u64, RequestTypeId>,
 }
 
 const WAKE_NEXT_ACTION: u64 = u64::MAX;
@@ -205,21 +205,21 @@ impl Profiler {
             },
             action_seq: 0,
             catalog: Vec::new(),
-            baseline_samples: HashMap::new(),
+            baseline_samples: BTreeMap::new(),
             baseline_ms: BTreeMap::new(),
             v_sat: BTreeMap::new(),
             current_burst: None,
             chunk_plan: None,
             ordered_pairs: Vec::new(),
             probe_results: Vec::new(),
-            probe_token_index: HashMap::new(),
+            probe_token_index: BTreeMap::new(),
             probe_victim: None,
             pair_results: Vec::new(),
             sweep_acc: Vec::new(),
             stealth_capped: false,
             requests_sent: 0,
             outcome: None,
-            baseline_tokens: HashMap::new(),
+            baseline_tokens: BTreeMap::new(),
         }
     }
 

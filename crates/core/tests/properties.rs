@@ -21,12 +21,12 @@ proptest! {
         let min = SimDuration::from_millis(interval_ms);
         let mut farm = BotFarm::new(initial, min);
         let mut now = SimTime::ZERO;
-        let mut last_use: std::collections::HashMap<u32, SimTime> = Default::default();
+        let mut last_use: std::collections::BTreeMap<u32, SimTime> = Default::default();
         for (advance, n) in steps {
             now += SimDuration::from_millis(advance);
             let origins = farm.allocate(n, now);
             prop_assert_eq!(origins.len(), n);
-            let distinct: std::collections::HashSet<u32> =
+            let distinct: std::collections::BTreeSet<u32> =
                 origins.iter().map(|o| o.ip).collect();
             prop_assert_eq!(distinct.len(), n, "one identity per request in a burst");
             for o in origins {

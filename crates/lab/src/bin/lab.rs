@@ -15,8 +15,10 @@
 use lab::{experiments, sweep, Fidelity, RunOpts};
 
 fn main() {
-    // CLI harness: argv selects which simulations run, never what they
-    // compute. simlint: allow(nondet-source)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI harness: argv selects which simulations run, never what they compute"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let names = || {
         experiments::ALL
@@ -70,8 +72,11 @@ fn main() {
 
     let opts = RunOpts::new(fidelity).jobs(jobs);
     for (name, run) in selected {
-        // Wall-clock progress echo on stderr; reports never include it.
-        let started = std::time::Instant::now(); // simlint: allow(nondet-source)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock progress echo on stderr; reports never include it"
+        )]
+        let started = std::time::Instant::now();
         eprintln!("== running {name} ({fidelity:?}, jobs={jobs}) ==");
         let report = run(&opts);
         let path = match report.write_to_dir(&out_dir) {

@@ -51,7 +51,7 @@ mod tests {
 
     #[test]
     fn all_names_are_unique_and_known() {
-        let set: std::collections::HashSet<_> = ALL.iter().map(|(name, _)| name).collect();
+        let set: std::collections::BTreeSet<_> = ALL.iter().map(|(name, _)| name).collect();
         assert_eq!(set.len(), ALL.len(), "duplicate experiment names");
         for (name, _) in ALL {
             assert!(find(name).is_some(), "{name} not found");

@@ -171,6 +171,10 @@ mod tests {
 
     #[test]
     fn writes_markdown_and_csvs_to_disk() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test harness: a scratch directory, not simulation input"
+        )]
         let dir = std::env::temp_dir().join("grunt-lab-test");
         let mut r = Report::new("unit", "U");
         r.series("s", &["x", "y"], vec![vec!["1".into(), "2".into()]]);

@@ -34,12 +34,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         self.len
     }
 
-    /// `true` when no elements are stored.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Appends `value`.
     pub fn push(&mut self, value: T) {
         if self.len < N {
@@ -100,7 +94,7 @@ mod tests {
     #[test]
     fn push_pop_within_inline_capacity() {
         let mut v: InlineVec<u32, 4> = InlineVec::new();
-        assert!(v.is_empty());
+        assert_eq!(v.len(), 0);
         for i in 0..4 {
             v.push(i);
         }

@@ -187,14 +187,6 @@ impl Simulation {
         self.agents.get(id.index()).and_then(|a| a.as_deref())
     }
 
-    /// Mutable variant of [`Simulation::agent`].
-    pub fn agent_mut(&mut self, id: AgentId) -> Option<&mut (dyn Agent + '_)> {
-        match self.agents.get_mut(id.index()) {
-            Some(Some(a)) => Some(a.as_mut()),
-            _ => None,
-        }
-    }
-
     /// Borrows an agent back with its concrete type — the way experiments
     /// read collected results out of probes and user populations.
     ///

@@ -26,7 +26,7 @@ fn app_strategy() -> impl Strategy<Value = RandomApp> {
         let n = services.len();
         let chain = prop::collection::vec((0..n, 1u64..12), 1..4).prop_map(move |raw| {
             // Visit each service at most once per chain.
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             raw.into_iter()
                 .filter(|(s, _)| seen.insert(*s))
                 .collect::<Vec<_>>()

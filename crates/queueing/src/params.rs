@@ -82,11 +82,6 @@ impl PathParams {
         &self.stages[self.bottleneck]
     }
 
-    /// The shared upstream stage (`s`).
-    pub fn shared_stage(&self) -> &StageParams {
-        &self.stages[self.shared_upstream]
-    }
-
     /// Stages strictly between the shared upstream service and the
     /// bottleneck, plus the bottleneck itself — the downstream queues that
     /// must fill before cross-tier overflow reaches the shared service.

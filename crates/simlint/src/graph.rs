@@ -178,7 +178,10 @@ impl<'a> FnGraph<'a> {
     /// workspace-local calls. Returns the hot set as a map from node to the
     /// caller it was first reached from (`None` for seeds), plus the seeds
     /// that did not resolve to any node.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the hot set and the unresolved seeds; a named type would hide that"
+    )]
     pub fn hot_set<'s>(
         &self,
         seeds: &'s [(&'s str, &'s str)],

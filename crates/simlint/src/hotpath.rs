@@ -112,14 +112,13 @@ pub const HOT_SEEDS: [Seed; 12] = [
 ];
 
 /// Types whose `::new`/`::with_capacity`/`::from` constructors allocate.
-const ALLOC_TYPES: [&str; 11] = [
+/// (`HashMap`/`HashSet` are absent: `crates/clippy.toml` bans them.)
+const ALLOC_TYPES: [&str; 9] = [
     "Arc",
     "BTreeMap",
     "BTreeSet",
     "BinaryHeap",
     "Box",
-    "HashMap",
-    "HashSet",
     "Rc",
     "String",
     "Vec",

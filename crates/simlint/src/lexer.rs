@@ -1,9 +1,9 @@
-//! A minimal Rust lexer: just enough structure to token-scan source files
-//! for determinism hazards.
+//! A minimal Rust lexer: just enough structure for the item parser and the
+//! rules on top of it.
 //!
 //! The lexer strips comments and string/char literals (their contents can
 //! never be a hazard, and leaving them in would produce false positives on
-//! doc prose like "uses `std::time::Instant`"), keeps identifiers and
+//! doc prose like "calls `Vec::new`"), keeps identifiers and
 //! punctuation with their line numbers, and collects `simlint: allow(...)`
 //! directives out of the stripped comments. It is deliberately not a parser:
 //! every rule downstream works on token patterns, which keeps the whole
@@ -375,12 +375,12 @@ let y = foo; // trailing
 
     #[test]
     fn allow_directives_are_collected() {
-        let src = "\nlet a = 1; // simlint: allow(nondet-source)\n// simlint: allow(unordered-iter, float-order)\nlet b = 2;\n";
+        let src = "\nlet a = 1; // simlint: allow(hot-path-alloc)\n// simlint: allow(naive-twin, unused-allow)\nlet b = 2;\n";
         let lexed = lex(src);
-        assert!(lexed.is_allowed("nondet-source", 2));
-        assert!(lexed.is_allowed("unordered-iter", 4)); // line above
-        assert!(lexed.is_allowed("float-order", 3));
-        assert!(!lexed.is_allowed("nondet-source", 4));
+        assert!(lexed.is_allowed("hot-path-alloc", 2));
+        assert!(lexed.is_allowed("naive-twin", 4)); // line above
+        assert!(lexed.is_allowed("unused-allow", 3));
+        assert!(!lexed.is_allowed("hot-path-alloc", 4));
     }
 
     #[test]

@@ -1,26 +1,21 @@
-//! `simlint` — the workspace determinism and invariant auditor.
+//! `simlint` — the workspace's invariant auditor for what a type checker
+//! cannot see.
 //!
-//! The whole reproduction rests on one invariant: simulations are
-//! deterministic. `lab --jobs N` reports are byte-identical at any job
-//! count, and warm-state forks are byte-identical to cold runs. That
-//! invariant is easy to break silently — one `HashMap` iteration feeding a
-//! report, one `Instant::now()` in an agent, one COW spine mutated around
-//! `Arc::make_mut` — and dynamic tests only catch the breakage when a test
-//! happens to exercise the affected path. `simlint` enforces the invariants
-//! statically, at the source level, in CI:
+//! Clippy enforces the type-level half of determinism: `crates/clippy.toml`
+//! bans the wall clock, environment reads, raw threads, `Arc::get_mut` and
+//! hash collections in every package under `crates/`. `simlint` checks the
+//! structural invariants that need a whole-workspace call graph — the
+//! kernel's steady state does not allocate, and every indexed query keeps a
+//! naive ground truth — at the source level, in CI:
 //!
 //! ```text
-//! cargo run -p simlint -- --check [--format text|json|sarif] [--baseline <file>]
+//! cargo run -p simlint -- --check [--format text|json|sarif] [--root <dir>]
 //! cargo run -p simlint -- --list-rules
 //! ```
 //!
 //! Rules (see [`registry::RULES`]; each suppressible per line with
 //! `// simlint: allow(<rule>)` on the flagged line or the line above):
 //!
-//! * `nondet-source`, `unordered-iter`, `float-order` — per-file
-//!   determinism scans (see [`rules`]);
-//! * `cow-discipline` — registered copy-on-write spines are mutated only
-//!   through `Arc::make_mut` (see [`cow`]);
 //! * `hot-path-alloc` — no allocation constructors reachable from the
 //!   kernel's hot entry points (see [`hotpath`]);
 //! * `naive-twin` — every indexed query keeps a test-exercised `*_naive`
@@ -30,11 +25,11 @@
 //!
 //! The implementation is a hand-rolled lexer, a lightweight item parser
 //! ([`parse`]) resolving `fn`/`impl` items and call sites into a function
-//! graph ([`graph`]), and token-pattern rule passes — no external parser
-//! dependencies, consistent with the workspace's offline `vendor/` policy.
-//! It is heuristic by design: type-blind, tuned so that everything it flags
-//! in this workspace is a real hazard or carries an explicit, reviewable
-//! `allow`.
+//! graph ([`graph`]), and the rule passes over that graph — no external
+//! parser dependencies, consistent with the workspace's offline `vendor/`
+//! policy. It is heuristic by design: type-blind, tuned so that everything
+//! it flags in this workspace is a real hazard or carries an explicit,
+//! reviewable `allow`.
 //!
 //! ## Exit codes (stable)
 //!
@@ -45,14 +40,12 @@
 //! | 2    | internal error: bad usage, unreadable file, no workspace |
 
 pub mod allow;
-pub mod cow;
 pub mod graph;
 pub mod hotpath;
 pub mod lexer;
 pub mod output;
 pub mod parse;
 pub mod registry;
-pub mod rules;
 pub mod twin;
 
 use std::collections::BTreeSet;
@@ -61,6 +54,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use lexer::Token;
 use registry::Severity;
 
 /// One finding.
@@ -125,9 +119,8 @@ impl fmt::Display for Diagnostic {
 /// Crates whose `src/` trees are simulation code and get the full rule set.
 ///
 /// `bench` is exempt (it measures wall time by design) and so is `simlint`
-/// itself. `examples/`, `tests/`, and `benches/` directories are harness
-/// code: they drive simulations but their own statements never execute
-/// inside one.
+/// itself. `examples/` and `tests/` directories are harness code: they
+/// drive simulations but their own statements never execute inside one.
 pub const SIM_CRATES: [&str; 11] = [
     "apps",
     "baselines",
@@ -168,14 +161,14 @@ pub struct Model {
 
 impl Model {
     /// Builds a model from in-memory sources — the workhorse behind
-    /// [`Model::load`], fixture corpora, and mutation tests that patch one
+    /// [`Model::load`], synthetic workspaces, and mutation tests that patch one
     /// real file's text and re-lint.
     pub fn from_sources(sources: &[(String, String)], test_sources: &[(String, String)]) -> Model {
         let mut files = Vec::with_capacity(sources.len());
         let mut test_idents = BTreeSet::new();
         for (path, src) in sources {
             let mut lexed = lexer::lex(src);
-            let (kept, test) = rules::split_cfg_test(std::mem::take(&mut lexed.tokens));
+            let (kept, test) = split_cfg_test(std::mem::take(&mut lexed.tokens));
             lexed.tokens = kept;
             for t in &test {
                 if let Some(id) = t.ident() {
@@ -210,7 +203,10 @@ impl Model {
     /// Reads the raw `(path, text)` pairs [`Model::load`] scans, without
     /// building the model — mutation tests patch one file's text and feed
     /// the result back through [`Model::from_sources`].
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "two lists of (path, text) pairs; a named type would hide that"
+    )]
     pub fn load_sources(root: &Path) -> io::Result<(Vec<(String, String)>, Vec<(String, String)>)> {
         let mut sources = Vec::new();
         for krate in SIM_CRATES {
@@ -240,33 +236,124 @@ impl Model {
     }
 }
 
-/// Lints one source file (per-file rules only — the graph rules need a
-/// whole [`Model`]). `path` is the label used in diagnostics.
-pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
-    let model = Model::from_sources(&[(path.to_string(), src.to_string())], &[]);
-    let spines = cow::spine_map(&model.files);
-    let mut out = Vec::new();
-    for file in &model.files {
-        rules::lint_tokens(&file.path, &file.lexed, &mut out);
-        cow::check_file(file, &spines, &mut out);
+/// Splits a token stream into (non-test tokens, `#[cfg(test)]` tokens).
+///
+/// The rules lint only the first half: test modules assert over simulation
+/// output, and nothing in them runs on the kernel's hot path. The test half
+/// feeds the `naive-twin` rule's reference scan: an indexed query's
+/// ground-truth twin counts as exercised when its name appears in any test
+/// code, including in-file `#[cfg(test)]` modules.
+fn split_cfg_test(toks: Vec<Token>) -> (Vec<Token>, Vec<Token>) {
+    let mut out = Vec::with_capacity(toks.len());
+    let mut test = Vec::new();
+    let mut i = 0usize;
+    while i < toks.len() {
+        if is_cfg_test_attr(&toks, i) {
+            // Skip this attribute, any further attributes, the `mod name`,
+            // and the brace-balanced body.
+            let mut j = i;
+            loop {
+                j = skip_attr(&toks, j);
+                if !toks.get(j).is_some_and(|t| t.is_punct('#')) {
+                    break;
+                }
+            }
+            if toks.get(j).is_some_and(|t| t.is_ident("mod")) {
+                // Find the opening brace, then its match.
+                while j < toks.len() && !toks[j].is_punct('{') {
+                    j += 1;
+                }
+                let mut depth = 0i32;
+                while j < toks.len() {
+                    if toks[j].is_punct('{') {
+                        depth += 1;
+                    } else if toks[j].is_punct('}') {
+                        depth -= 1;
+                        if depth == 0 {
+                            j += 1;
+                            break;
+                        }
+                    }
+                    j += 1;
+                }
+                test.extend_from_slice(&toks[i..j]);
+                i = j;
+                continue;
+            }
+            // `#[cfg(test)]` on something other than a module (a lone fn,
+            // an import): skip just the attribute and the next item-ish
+            // token run up to `;` or a brace-balanced block.
+            let mut k = skip_attr(&toks, i);
+            let mut depth = 0i32;
+            while k < toks.len() {
+                if toks[k].is_punct('{') {
+                    depth += 1;
+                } else if toks[k].is_punct('}') {
+                    depth -= 1;
+                    if depth == 0 {
+                        k += 1;
+                        break;
+                    }
+                } else if toks[k].is_punct(';') && depth == 0 {
+                    k += 1;
+                    break;
+                }
+                k += 1;
+            }
+            test.extend_from_slice(&toks[i..k]);
+            i = k;
+            continue;
+        }
+        out.push(toks[i].clone());
+        i += 1;
     }
-    allow::apply(&model.files, &mut out);
-    out.sort();
-    out.dedup();
-    out
+    (out, test)
 }
 
-/// Runs the full rule set over a model: per-file rules, the COW/hot-path/
-/// naive-twin graph rules, and allow-directive accounting. Diagnostics come
-/// back sorted by (path, line, rule).
-pub fn lint_model(model: &Model) -> Vec<Diagnostic> {
-    let spines = cow::spine_map(&model.files);
-    let mut out = Vec::new();
-    for file in &model.files {
-        rules::lint_tokens(&file.path, &file.lexed, &mut out);
-        cow::check_file(file, &spines, &mut out);
+/// `true` when `toks[i..]` starts with exactly `#[cfg(test)]`.
+fn is_cfg_test_attr(toks: &[Token], i: usize) -> bool {
+    toks.get(i).is_some_and(|t| t.is_punct('#'))
+        && toks.get(i + 1).is_some_and(|t| t.is_punct('['))
+        && toks.get(i + 2).is_some_and(|t| t.is_ident("cfg"))
+        && toks.get(i + 3).is_some_and(|t| t.is_punct('('))
+        && toks.get(i + 4).is_some_and(|t| t.is_ident("test"))
+        && toks.get(i + 5).is_some_and(|t| t.is_punct(')'))
+        && toks.get(i + 6).is_some_and(|t| t.is_punct(']'))
+}
+
+/// Returns the index one past an attribute starting at `i` (`#` `[` ... `]`
+/// with bracket balancing); returns `i` unchanged if not at an attribute.
+fn skip_attr(toks: &[Token], i: usize) -> usize {
+    if !toks.get(i).is_some_and(|t| t.is_punct('#')) {
+        return i;
     }
-    cow::check_registry(&model.files, &mut out);
+    let mut j = i + 1;
+    if toks.get(j).is_some_and(|t| t.is_punct('!')) {
+        j += 1;
+    }
+    if !toks.get(j).is_some_and(|t| t.is_punct('[')) {
+        return i;
+    }
+    let mut depth = 0i32;
+    while j < toks.len() {
+        if toks[j].is_punct('[') {
+            depth += 1;
+        } else if toks[j].is_punct(']') {
+            depth -= 1;
+            if depth == 0 {
+                return j + 1;
+            }
+        }
+        j += 1;
+    }
+    j
+}
+
+/// Runs the full rule set over a model: the hot-path and naive-twin graph
+/// rules, then allow-directive accounting. Diagnostics come back sorted by
+/// (path, line, rule).
+pub fn lint_model(model: &Model) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
     hotpath::check(&model.files, &hotpath::HOT_SEEDS, &mut out);
     twin::check(
         &model.files,

@@ -1,7 +1,7 @@
-//! CLI for the workspace determinism & invariant auditor.
+//! CLI for the workspace invariant auditor.
 //!
 //! ```text
-//! cargo run -p simlint -- --check [--format text|json|sarif] [--baseline <file>] [--root <dir>]
+//! cargo run -p simlint -- --check [--format text|json|sarif] [--root <dir>]
 //! cargo run -p simlint -- --list-rules
 //! ```
 //!
@@ -21,12 +21,13 @@ enum Format {
 }
 
 fn main() -> ExitCode {
-    // Harness code, not simulation code: reading argv/cwd here cannot
-    // affect simulated histories.
-    let args: Vec<String> = std::env::args().skip(1).collect(); // simlint: allow(nondet-source)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a lint CLI, not simulation code: argv cannot affect simulated histories"
+    )]
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut list_rules = false;
     let mut i = 0usize;
     while i < args.len() {
@@ -47,14 +48,6 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "--baseline" => {
-                i += 1;
-                let Some(p) = args.get(i) else {
-                    eprintln!("--baseline expects a file path");
-                    return ExitCode::from(2);
-                };
-                baseline_path = Some(PathBuf::from(p));
-            }
             "--root" => {
                 i += 1;
                 let Some(dir) = args.get(i) else {
@@ -66,7 +59,7 @@ fn main() -> ExitCode {
             "--list-rules" => list_rules = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: simlint [--check] [--format text|json|sarif] [--baseline <file>] [--root <dir>]\n       simlint --list-rules\n\nexit codes: 0 clean (no error-severity findings), 1 violations, 2 internal error"
+                    "usage: simlint [--check] [--format text|json|sarif] [--root <dir>]\n       simlint --list-rules\n\nexit codes: 0 clean (no error-severity findings), 1 violations, 2 internal error"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -86,7 +79,11 @@ fn main() -> ExitCode {
     }
 
     let root = root.or_else(|| {
-        let cwd = std::env::current_dir().ok()?; // simlint: allow(nondet-source)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a lint CLI, not simulation code: the default root is found from the cwd"
+        )]
+        let cwd = std::env::current_dir().ok()?;
         simlint::find_workspace_root(&cwd)
     });
     let Some(root) = root else {
@@ -104,20 +101,6 @@ fn main() -> ExitCode {
             eprintln!("simlint: i/o error: {e}");
             return ExitCode::from(2);
         }
-    };
-
-    let (diagnostics, baselined) = match &baseline_path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let entries = simlint::output::parse_baseline(&text);
-                simlint::output::apply_baseline(diagnostics, &entries)
-            }
-            Err(e) => {
-                eprintln!("simlint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => (diagnostics, 0),
     };
 
     match format {
@@ -138,9 +121,6 @@ fn main() -> ExitCode {
                 eprintln!(
                     "simlint: {errors} error(s), {warnings} warning(s); suppress a reviewed line with `// simlint: allow(<rule>)`"
                 );
-            }
-            if baselined > 0 {
-                eprintln!("simlint: {baselined} baselined finding(s) suppressed");
             }
         }
     }

@@ -1,26 +1,8 @@
-//! Machine-readable output (JSON, SARIF 2.1.0) and the baseline
-//! suppression-file format.
+//! Machine-readable output: JSON and SARIF 2.1.0.
 //!
 //! Everything here is hand-rolled string building, consistent with the
 //! crate's zero-dependency policy. Output is deterministic: diagnostics are
 //! already sorted by (path, line, rule) when they reach these renderers.
-//!
-//! ## Baseline format
-//!
-//! A baseline file suppresses known findings so a new rule can land
-//! warn-first. Each non-comment line is matched against a finding's
-//! rendered prefix — `file:line:` plus the `[rule]` id — so a baseline can
-//! be created by redirecting simlint's text output to a file:
-//!
-//! ```text
-//! cargo run -p simlint -- --check > simlint.baseline
-//! cargo run -p simlint -- --check --baseline simlint.baseline
-//! ```
-//!
-//! Lines starting with `#` and blank lines are ignored. The message part is
-//! ignored during matching, so rewording a diagnostic does not invalidate a
-//! baseline; moving the finding (file or line) does, which is what makes
-//! the baseline shrink-only in practice.
 
 use crate::registry::{self, Severity};
 use crate::Diagnostic;
@@ -80,69 +62,6 @@ pub fn sarif(diags: &[Diagnostic]) -> String {
     )
 }
 
-/// One parsed baseline entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineEntry {
-    /// Workspace-relative file path.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-    /// Rule id.
-    pub rule: String,
-}
-
-/// Parses a baseline file; lines that do not look like findings are
-/// ignored (so comments, summaries, and blank lines are harmless).
-pub fn parse_baseline(text: &str) -> Vec<BaselineEntry> {
-    let mut entries = Vec::new();
-    for raw in text.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some((file, rest)) = line.split_once(':') else {
-            continue;
-        };
-        let Some((lineno, rest)) = rest.split_once(':') else {
-            continue;
-        };
-        let Ok(lineno) = lineno.parse::<u32>() else {
-            continue;
-        };
-        let Some(open) = rest.find('[') else {
-            continue;
-        };
-        let Some(close) = rest[open..].find(']') else {
-            continue;
-        };
-        entries.push(BaselineEntry {
-            file: file.trim().to_string(),
-            line: lineno,
-            rule: rest[open + 1..open + close].to_string(),
-        });
-    }
-    entries
-}
-
-/// Drops findings matched by the baseline; returns the survivors and the
-/// number suppressed.
-pub fn apply_baseline(
-    diags: Vec<Diagnostic>,
-    baseline: &[BaselineEntry],
-) -> (Vec<Diagnostic>, usize) {
-    let before = diags.len();
-    let kept: Vec<Diagnostic> = diags
-        .into_iter()
-        .filter(|d| {
-            !baseline
-                .iter()
-                .any(|b| b.file == d.file && b.line == d.line && b.rule == d.rule)
-        })
-        .collect();
-    let suppressed = before - kept.len();
-    (kept, suppressed)
-}
-
 /// `true` when any finding gates the build (i.e. has `error` severity).
 pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity == Severity::Error)
@@ -157,42 +76,10 @@ mod tests {
     }
 
     #[test]
-    fn baseline_round_trips_through_text_output() {
-        let diags = vec![
-            diag("crates/a.rs", 3, "nondet-source"),
-            diag("crates/b.rs", 7, "unordered-iter"),
-        ];
-        let text: String = diags.iter().map(|d| format!("{d}\n")).collect();
-        let entries = parse_baseline(&text);
-        assert_eq!(entries.len(), 2);
-        let (kept, suppressed) = apply_baseline(diags, &entries);
-        assert!(kept.is_empty());
-        assert_eq!(suppressed, 2);
-    }
-
-    #[test]
-    fn baseline_ignores_comments_and_partial_matches() {
-        let entries =
-            parse_baseline("# comment\n\nnot a finding\ncrates/a.rs:3: error[nondet-source] msg\n");
-        assert_eq!(
-            entries,
-            [BaselineEntry {
-                file: "crates/a.rs".to_string(),
-                line: 3,
-                rule: "nondet-source".to_string(),
-            }]
-        );
-        let survivors = vec![diag("crates/a.rs", 4, "nondet-source")];
-        let (kept, suppressed) = apply_baseline(survivors, &entries);
-        assert_eq!(kept.len(), 1, "a moved finding is not baselined");
-        assert_eq!(suppressed, 0);
-    }
-
-    #[test]
     fn sarif_names_every_rule_and_result() {
-        let s = sarif(&[diag("crates/a.rs", 3, "cow-discipline")]);
+        let s = sarif(&[diag("crates/a.rs", 3, "hot-path-alloc")]);
         assert!(s.contains("\"version\":\"2.1.0\""));
-        assert!(s.contains("\"ruleId\":\"cow-discipline\""));
+        assert!(s.contains("\"ruleId\":\"hot-path-alloc\""));
         for r in &crate::registry::RULES {
             assert!(s.contains(&format!("\"id\":\"{}\"", r.id)));
         }

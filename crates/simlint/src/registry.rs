@@ -48,21 +48,11 @@ pub struct Rule {
 }
 
 /// Every rule simlint can emit, in stable (alphabetical) order.
-pub const RULES: [Rule; 8] = [
+pub const RULES: [Rule; 4] = [
     Rule {
         id: "bad-allow",
         severity: Severity::Error,
         summary: "a `simlint: allow(...)` directive names a rule id that does not exist",
-    },
-    Rule {
-        id: "cow-discipline",
-        severity: Severity::Error,
-        summary: "a shared copy-on-write spine is mutated without flowing through Arc::make_mut",
-    },
-    Rule {
-        id: "float-order",
-        severity: Severity::Error,
-        summary: "float reduction over an unordered iteration (result depends on hash order)",
     },
     Rule {
         id: "hot-path-alloc",
@@ -73,16 +63,6 @@ pub const RULES: [Rule; 8] = [
         id: "naive-twin",
         severity: Severity::Error,
         summary: "an indexed query entry point lacks a *_naive full-scan twin exercised by a test",
-    },
-    Rule {
-        id: "nondet-source",
-        severity: Severity::Error,
-        summary: "wall clock, OS entropy, environment reads, or raw threads in simulation code",
-    },
-    Rule {
-        id: "unordered-iter",
-        severity: Severity::Error,
-        summary: "iterating a HashMap/HashSet, whose order is unspecified across runs",
     },
     Rule {
         id: "unused-allow",

@@ -1,11 +1,11 @@
-//! Mini-workspace source with one deliberate determinism hazard; the CLI
-//! tests assert simlint finds it, exits nonzero, and that a baseline file
-//! built from simlint's own text output suppresses it.
+//! Mini-workspace source with one deliberate violation: an allow directive
+//! naming a rule that is not in simlint's registry. The CLI and golden tests
+//! assert simlint reports it as a `bad-allow` error and exits nonzero.
 
 pub fn deterministic_and_fine(x: u64) -> u64 {
     x.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-pub fn wall_clock_read() -> u128 {
-    std::time::Instant::now().elapsed().as_nanos()
+pub fn stale_directive() -> u64 {
+    0 // simlint: allow(nondet-source)
 }

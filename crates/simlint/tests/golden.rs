@@ -1,6 +1,7 @@
-//! Golden-file tests: every fixture under `tests/fixtures/` is linted and
-//! its rendered diagnostics compared line-for-line — rule id, file, line —
-//! against the checked-in `.expected` file. Regenerate goldens with
+//! Golden-file tests: every fixture workspace under `tests/fixtures/` is
+//! linted whole and its rendered diagnostics compared line-for-line — file,
+//! line, severity, rule and message — against the checked-in
+//! `<name>.expected` file. Regenerate goldens with
 //! `SIMLINT_BLESS=1 cargo test -p simlint`.
 
 use std::fs;
@@ -11,20 +12,17 @@ fn fixtures_dir() -> PathBuf {
 }
 
 fn render(diags: &[simlint::Diagnostic]) -> String {
-    let mut s = diags
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("\n");
-    if !s.is_empty() {
-        s.push('\n');
-    }
-    s
+    diags.iter().map(|d| format!("{d}\n")).collect()
 }
 
 fn check_golden(name: &str, actual: &str) {
     let golden = fixtures_dir().join(name);
-    if std::env::var_os("SIMLINT_BLESS").is_some() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test harness: the bless switch rewrites goldens, it never changes a lint result"
+    )]
+    let bless = std::env::var_os("SIMLINT_BLESS").is_some();
+    if bless {
         fs::write(&golden, actual).unwrap();
         return;
     }
@@ -38,17 +36,16 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn fixtures_match_goldens() {
-    let mut paths: Vec<PathBuf> = fs::read_dir(fixtures_dir())
+    let mut roots: Vec<PathBuf> = fs::read_dir(fixtures_dir())
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .filter(|p| p.is_dir())
         .collect();
-    paths.sort();
-    assert!(!paths.is_empty(), "fixture corpus is empty");
-    for path in paths {
-        let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let src = fs::read_to_string(&path).unwrap();
-        let diags = simlint::lint_source(&format!("fixtures/{stem}.rs"), &src);
-        check_golden(&format!("{stem}.expected"), &render(&diags));
+    roots.sort();
+    assert!(!roots.is_empty(), "fixture corpus is empty");
+    for root in roots {
+        let name = root.file_name().unwrap().to_string_lossy().into_owned();
+        let diags = simlint::lint_workspace(&root).unwrap();
+        check_golden(&format!("{name}.expected"), &render(&diags));
     }
 }

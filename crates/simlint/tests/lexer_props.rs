@@ -6,10 +6,10 @@ use proptest::prelude::*;
 use simlint::lexer::{lex, TokenKind};
 
 proptest! {
-    /// The lexer (and the full single-file lint pipeline on top of it)
-    /// total-functions over arbitrary byte soup: truncated block comments,
-    /// unterminated strings, stray quotes, non-UTF-8 bytes smoothed by
-    /// `from_utf8_lossy` — nothing panics.
+    /// The lexer (and the full lint pipeline on top of it, over a one-file
+    /// workspace) total-functions over arbitrary byte soup: truncated block
+    /// comments, unterminated strings, stray quotes, non-UTF-8 bytes
+    /// smoothed by `from_utf8_lossy` — nothing panics.
     #[test]
     fn lexing_arbitrary_bytes_never_panics(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
@@ -17,7 +17,8 @@ proptest! {
         let src = String::from_utf8_lossy(&bytes).into_owned();
         let lexed = lex(&src);
         prop_assert!(lexed.tokens.len() <= src.len() + 1);
-        let _ = simlint::lint_source("fuzz.rs", &src);
+        let model = simlint::Model::from_sources(&[("fuzz.rs".to_string(), src)], &[]);
+        let _ = simlint::lint_model(&model);
     }
 
     /// Spans are strictly ordered and non-overlapping, stay inside the

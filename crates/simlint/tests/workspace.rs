@@ -1,8 +1,9 @@
 //! The workspace self-check — the tree this crate lives in must lint clean —
-//! plus mutation tests proving every workspace-level rule bites on the
-//! *real* tree: strip an `Arc::make_mut` and `cow-discipline` fails; inject an
-//! allocation into a hot function and `hot-path-alloc` fails; rename a
-//! `_naive` twin away and `naive-twin` fails.
+//! plus mutation tests proving every rule bites on the *real* tree: inject
+//! an allocation into a hot function and `hot-path-alloc` fails; rename a
+//! `_naive` twin away and `naive-twin` fails; and an `allow` directive
+//! suppresses exactly its own line and the next, with `bad-allow` and
+//! `unused-allow` auditing the directives themselves.
 
 use std::path::PathBuf;
 
@@ -44,43 +45,27 @@ fn lint_with_patched_file(path: &str, patch: impl Fn(&str) -> String) -> Vec<Str
         .collect()
 }
 
-#[test]
-fn stripping_make_mut_from_a_spine_mutation_is_caught() {
-    let diags = lint_with_patched_file("crates/simnet/src/seglog.rs", |src| {
-        src.replace("Arc::make_mut(&mut self.sealed).push(", "self.sealed.push(")
-    });
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.contains("[cow-discipline]") && d.contains("sealed")),
-        "expected a cow-discipline finding for the undisciplined push, got: {diags:?}"
-    );
+/// Lints the real workspace with `lines` inserted at the top of the hot
+/// `Kernel::reroute_drained_waiters`.
+fn lint_with_hot_lines(lines: &str) -> Vec<String> {
+    lint_with_patched_file("crates/microsim/src/kernel.rs", |src| {
+        src.replace(
+            "fn reroute_drained_waiters(&mut self, sidx: usize) -> usize {",
+            &format!("fn reroute_drained_waiters(&mut self, sidx: usize) -> usize {{\n{lines}"),
+        )
+    })
 }
 
-#[test]
-fn get_mut_on_a_spine_is_caught() {
-    let diags = lint_with_patched_file("crates/simnet/src/seglog.rs", |src| {
-        src.replace(
-            "Arc::make_mut(&mut self.sealed).push(",
-            "Arc::get_mut(&mut self.sealed).unwrap().push(",
-        )
-    });
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.contains("[cow-discipline]") && d.contains("get_mut")),
-        "expected a cow-discipline finding for the get_mut sidestep, got: {diags:?}"
-    );
+/// The 1-based line of a rendered `path:line: ...` diagnostic.
+fn line_of(diag: &str) -> u32 {
+    diag.split(':').nth(1).unwrap().parse().unwrap()
 }
+
+const HOT_ALLOC: &str = "        let scratch: Vec<u8> = Vec::with_capacity(64);";
 
 #[test]
 fn injecting_an_allocation_into_a_hot_function_is_caught() {
-    let diags = lint_with_patched_file("crates/microsim/src/kernel.rs", |src| {
-        src.replace(
-            "fn reroute_drained_waiters(&mut self, sidx: usize) -> usize {",
-            "fn reroute_drained_waiters(&mut self, sidx: usize) -> usize {\n        let scratch: Vec<u8> = Vec::with_capacity(64);\n        drop(scratch);",
-        )
-    });
+    let diags = lint_with_hot_lines(&format!("{HOT_ALLOC}\n        drop(scratch);"));
     assert!(
         diags
             .iter()
@@ -207,19 +192,60 @@ fn injecting_an_allocation_into_the_population_wake_path_is_caught() {
 }
 
 #[test]
-fn get_mut_on_the_population_model_spine_is_caught() {
-    // ClosedLoopUsers is a registered COW type through its Arc-typed
-    // `model` field.
-    let diags = lint_with_patched_file("crates/workload/src/users.rs", |src| {
-        src.replace(
-            "fn fire_slot(&mut self, ctx: &mut SimCtx<'_>, slot: u32) {",
-            "fn fire_slot(&mut self, ctx: &mut SimCtx<'_>, slot: u32) {\n        let _ = std::sync::Arc::get_mut(&mut self.model);",
-        )
-    });
+fn an_allow_on_the_flagged_line_suppresses_it() {
+    let diags = lint_with_hot_lines(&format!(
+        "{HOT_ALLOC} // simlint: allow(hot-path-alloc)\n        drop(scratch);"
+    ));
     assert!(
-        diags
-            .iter()
-            .any(|d| d.contains("[cow-discipline]") && d.contains("model")),
-        "expected a cow-discipline finding for the model spine, got: {diags:?}"
+        diags.is_empty(),
+        "the same-line allow must suppress: {diags:?}"
+    );
+}
+
+#[test]
+fn an_allow_on_the_line_above_suppresses_it() {
+    let diags = lint_with_hot_lines(&format!(
+        "        // Reviewed. simlint: allow(hot-path-alloc)\n{HOT_ALLOC}\n        drop(scratch);"
+    ));
+    assert!(
+        diags.is_empty(),
+        "the line-above allow must suppress: {diags:?}"
+    );
+}
+
+#[test]
+fn an_allow_two_lines_above_suppresses_nothing() {
+    let diags = lint_with_hot_lines(&format!(
+        "        // simlint: allow(hot-path-alloc)\n        let _gap = 0;\n{HOT_ALLOC}\n        drop(scratch);"
+    ));
+    assert_eq!(diags.len(), 2, "{diags:?}");
+    let (stale, finding) = (&diags[0], &diags[1]);
+    assert!(
+        finding.contains("error[hot-path-alloc]") && finding.contains("Vec::with_capacity"),
+        "the allocation must still be reported: {diags:?}"
+    );
+    assert!(
+        stale.contains("warning[unused-allow]") && line_of(stale) + 2 == line_of(finding),
+        "the out-of-reach directive must be reported as unused: {diags:?}"
+    );
+}
+
+#[test]
+fn an_allow_naming_an_unknown_rule_is_a_bad_allow() {
+    let diags = lint_with_hot_lines("        let _x = 0; // simlint: allow(hot-path-aloc)");
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert!(
+        diags[0].contains("error[bad-allow]") && diags[0].contains("`hot-path-aloc`"),
+        "expected a bad-allow finding for the typo, got: {diags:?}"
+    );
+}
+
+#[test]
+fn an_allow_that_suppresses_nothing_is_an_unused_allow() {
+    let diags = lint_with_hot_lines("        let _n = 42; // simlint: allow(hot-path-alloc)");
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert!(
+        diags[0].contains("warning[unused-allow]") && diags[0].contains("allow(hot-path-alloc)"),
+        "expected an unused-allow finding for the stale directive, got: {diags:?}"
     );
 }

@@ -141,7 +141,7 @@ mod tests {
             .with_sessions(10),
         ));
         sim.run_until(SimTime::from_secs(3));
-        let sessions: std::collections::HashSet<u64> = sim
+        let sessions: std::collections::BTreeSet<u64> = sim
             .metrics()
             .access_log()
             .iter()

@@ -9,7 +9,7 @@
 //!   precomputed alias tables for the Markov transitions, and prefetched
 //!   uniform draws.
 //! * [`ClosedLoopUsersNaive`] — the retained naive twin with identical
-//!   observable semantics over `HashMap`/`BTreeMap` bookkeeping and
+//!   observable semantics over `BTreeMap` bookkeeping and
 //!   per-call RNG. It is the differential ground truth
 //!   (`tests/determinism.rs` pins the two byte-for-byte) and the bench
 //!   baseline the flat-arena speedups are measured against.
@@ -43,7 +43,7 @@
 //! given uniform), and think expiries are quantised up to the arena tick
 //! (≤ ~0.05 % of the mean; see [`think_tick_micros`]).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use callgraph::RequestTypeId;
@@ -181,11 +181,6 @@ impl BrowsingModel {
     /// `weighted_choice` over this slice as the alias tables' naive twin).
     pub fn transition_weights(&self, from: usize) -> &[f64] {
         &self.row(from).weights
-    }
-
-    /// The precomputed alias table of a state's outgoing row.
-    pub fn transition_alias(&self, from: usize) -> &AliasTable {
-        &self.row(from).alias
     }
 
     /// The request type of a state.
@@ -479,7 +474,7 @@ struct NaiveUser {
 /// Identical observable semantics — same RNG stream consumption, same
 /// alias-table transition mapping, same quantised think ticks, same
 /// slot-ordered bucket stepping — over the bookkeeping the flat-arena
-/// engine replaced: a token→user `HashMap` for outstanding requests, a
+/// engine replaced: a token→user `BTreeMap` for outstanding requests, a
 /// `BTreeMap` of think buckets (allocating a `Vec` per bucket), and
 /// per-call RNG draws. `tests/determinism.rs` pins the two populations
 /// byte-for-byte on paper-scale cells and on one 100k-user cell.
@@ -490,7 +485,7 @@ pub struct ClosedLoopUsersNaive {
     tick_micros: u64,
     users: Vec<NaiveUser>,
     rng: RngStream,
-    outstanding: HashMap<u64, usize>,
+    outstanding: BTreeMap<u64, usize>,
     timers: BTreeMap<u64, Vec<u32>>,
     latency: Welford,
     samples: SegLog<(SimTime, f64)>,
@@ -519,7 +514,7 @@ impl ClosedLoopUsersNaive {
             tick_micros: think_tick_micros(7.0),
             users,
             rng,
-            outstanding: HashMap::new(),
+            outstanding: BTreeMap::new(),
             timers: BTreeMap::new(),
             latency: Welford::new(),
             samples: SegLog::new(),
@@ -690,7 +685,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         // With think time 10 ms and RT ~5 ms, each user alternates
         // think/request; sessions in the access log must be exactly 5.
-        let sessions: std::collections::HashSet<u64> = sim
+        let sessions: std::collections::BTreeSet<u64> = sim
             .metrics()
             .access_log()
             .iter()
@@ -699,7 +694,7 @@ mod tests {
         assert_eq!(sessions.len(), 5);
         // No session may ever have two overlapping requests: check by
         // scanning the log per session against completions.
-        let mut last_submit: HashMap<u64, SimTime> = HashMap::new();
+        let mut last_submit: BTreeMap<u64, SimTime> = BTreeMap::new();
         for e in sim.metrics().access_log() {
             if let Some(prev) = last_submit.insert(e.origin.session, e.at) {
                 assert!(e.at > prev, "submissions must be ordered per user");

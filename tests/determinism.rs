@@ -311,7 +311,7 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 /// naive twin on paper-scale cells: same RNG stream consumption, same
 /// alias-table transitions, same quantised think ticks and same
 /// slot-ordered bucket stepping — over completely different bookkeeping
-/// (slab + intrusive timer ring vs token `HashMap` + `BTreeMap` buckets
+/// (slab + intrusive timer ring vs token `BTreeMap` + `BTreeMap` buckets
 /// and per-call draws).
 mod population_twin {
     use super::*;

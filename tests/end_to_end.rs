@@ -82,6 +82,6 @@ fn grunt_campaign_on_unknown_ubench_app() {
         stats.mean_length
     );
     // Bottlenecks hit more than one distinct service (alternation).
-    let services: std::collections::HashSet<_> = during.iter().map(|mb| mb.service).collect();
+    let services: std::collections::BTreeSet<_> = during.iter().map(|mb| mb.service).collect();
     assert!(services.len() >= 2, "alternating services: {services:?}");
 }
