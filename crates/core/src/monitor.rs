@@ -3,7 +3,6 @@
 use callgraph::RequestTypeId;
 use microsim::Response;
 use simnet::{SimDuration, SimTime};
-use std::collections::BTreeSet;
 
 /// Bookkeeping for one attacking (or probing) burst.
 ///
@@ -25,7 +24,9 @@ pub struct BurstObservation {
     pub started: SimTime,
     /// Number of requests sent.
     pub sent: u32,
-    tokens: BTreeSet<u64>,
+    /// Tokens still awaiting a response, ascending (the kernel issues
+    /// tokens in increasing order).
+    tokens: Vec<u64>,
     responses: u32,
     first_end: Option<SimTime>,
     last_end: Option<SimTime>,
@@ -40,7 +41,7 @@ impl BurstObservation {
             path,
             started,
             sent,
-            tokens: BTreeSet::new(),
+            tokens: Vec::with_capacity(sent as usize),
             responses: 0,
             first_end: None,
             last_end: None,
@@ -50,15 +51,21 @@ impl BurstObservation {
     }
 
     /// Registers a submitted request token as belonging to this burst.
+    /// Tokens arrive in increasing order, the order the kernel issues them.
     pub fn track(&mut self, token: u64) {
-        self.tokens.insert(token);
+        debug_assert!(
+            self.tokens.last().is_none_or(|&last| last < token),
+            "tokens must be tracked in increasing order"
+        );
+        self.tokens.push(token);
     }
 
     /// Feeds a response; returns `true` when it belonged to this burst.
     pub fn record(&mut self, response: &Response) -> bool {
-        if !self.tokens.remove(&response.token) {
+        let Ok(at) = self.tokens.binary_search(&response.token) else {
             return false;
-        }
+        };
+        self.tokens.remove(at);
         self.responses += 1;
         let end = response.completed_at;
         self.first_end = Some(self.first_end.map_or(end, |f| f.min(end)));

@@ -25,7 +25,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         InlineVec {
             len: 0,
             inline: [T::default(); N],
-            spill: Vec::new(), // simlint: allow(hot-path-alloc) — capacity 0, allocation-free
+            spill: Vec::new(),
         }
     }
 

@@ -957,7 +957,7 @@ impl Kernel {
     /// load balancer. Returns how many were rerouted.
     fn reroute_drained_waiters(&mut self, sidx: usize) -> usize {
         let mut moved = 0;
-        let mut rerouted: Vec<(usize, usize)> = Vec::new(); // simlint: allow(hot-path-alloc) — rare drain path; Vec::new is allocation-free
+        let mut rerouted: Vec<(usize, usize)> = Vec::new();
         for r in &mut self.services[sidx].replicas {
             if r.draining {
                 while let Some(w) = r.wait_queue.pop_front() {

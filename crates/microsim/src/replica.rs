@@ -53,8 +53,9 @@ impl Replica {
             threads,
             cores,
             admitted: 0,
-            wait_queue: VecDeque::new(), // simlint: allow(hot-path-alloc) — scale-up is a rare control-plane event
-            cpu_queue: VecDeque::new(), // simlint: allow(hot-path-alloc) — scale-up is a rare control-plane event
+            // Scale-up is a rare control-plane event, off the per-request path.
+            wait_queue: VecDeque::new(),
+            cpu_queue: VecDeque::new(),
             busy_cores: 0,
             busy_acc: SimDuration::ZERO,
             last_update: now,

@@ -64,17 +64,18 @@ pub(crate) struct Csr {
 impl Csr {
     /// Builds posting lists over `records` with a counting sort (stable, so
     /// offsets stay ascending — i.e. chronological — within each group).
+    /// Runs only at segment seal, once per `seg_cap` records.
     pub fn build<T>(records: &[T], key: impl Fn(&T) -> usize) -> Csr {
         let groups = records.iter().map(&key).max().map_or(0, |m| m + 1);
-        let mut starts = vec![0u32; groups + 1]; // simlint: allow(hot-path-alloc) — runs only at segment seal
+        let mut starts = vec![0u32; groups + 1];
         for rec in records {
             starts[key(rec) + 1] += 1;
         }
         for g in 0..groups {
             starts[g + 1] += starts[g];
         }
-        let mut cursor = starts.clone(); // simlint: allow(hot-path-alloc) — runs only at segment seal
-        let mut offsets = vec![0u32; records.len()]; // simlint: allow(hot-path-alloc) — runs only at segment seal
+        let mut cursor = starts.clone();
+        let mut offsets = vec![0u32; records.len()];
         for (i, rec) in records.iter().enumerate() {
             let k = key(rec);
             offsets[cursor[k] as usize] = i as u32;
@@ -328,10 +329,11 @@ pub struct AccessIndex {
 
 impl SegIndex<AccessLogEntry> for AccessIndex {
     fn build(entries: &[AccessLogEntry]) -> AccessIndex {
-        let mut ips: Vec<u32> = entries.iter().map(|e| e.origin.ip).collect(); // simlint: allow(hot-path-alloc) — runs only at segment seal
+        // Runs only at segment seal, once per `seg_cap` entries.
+        let mut ips: Vec<u32> = entries.iter().map(|e| e.origin.ip).collect();
         ips.sort_unstable();
         ips.dedup();
-        let mut sessions: Vec<u64> = entries.iter().map(|e| e.origin.session).collect(); // simlint: allow(hot-path-alloc) — runs only at segment seal
+        let mut sessions: Vec<u64> = entries.iter().map(|e| e.origin.session).collect();
         sessions.sort_unstable();
         sessions.dedup();
         AccessIndex {

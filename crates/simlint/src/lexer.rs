@@ -1,16 +1,12 @@
-//! A minimal Rust lexer: just enough structure for the item parser and the
-//! rules on top of it.
+//! A minimal Rust lexer: just enough structure for the item scan on top of
+//! it.
 //!
-//! The lexer strips comments and string/char literals (their contents can
-//! never be a hazard, and leaving them in would produce false positives on
-//! doc prose like "calls `Vec::new`"), keeps identifiers and
-//! punctuation with their line numbers, and collects `simlint: allow(...)`
-//! directives out of the stripped comments. It is deliberately not a parser:
-//! every rule downstream works on token patterns, which keeps the whole
-//! crate dependency-free and fast enough to run on the full workspace in a
-//! few milliseconds.
-
-use std::collections::BTreeMap;
+//! The lexer strips comments and string/char literals (a `fn` named in doc
+//! prose or a string is not an item, and an identifier in a comment is not
+//! a test reference) and keeps identifiers and punctuation with their line
+//! numbers. It is deliberately not a parser: the item scan works on token
+//! patterns, which keeps the whole crate dependency-free and fast enough to
+//! run on the full workspace in a few milliseconds.
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,35 +55,10 @@ impl Token {
     }
 }
 
-/// A lexed file: the token stream plus the allow directives found in its
-/// comments.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// The token stream, comments and literals stripped.
-    pub tokens: Vec<Token>,
-    /// Lines carrying a `simlint: allow(rule, ...)` comment, mapped to the
-    /// rule ids they allow. A directive suppresses matching diagnostics on
-    /// its own line and on the following line (so it can trail the flagged
-    /// expression or sit on its own line above it).
-    pub allows: BTreeMap<u32, Vec<String>>,
-}
-
-impl Lexed {
-    /// `true` when a diagnostic of `rule` at `line` is suppressed by an
-    /// allow directive on the same line or the line above.
-    pub fn is_allowed(&self, rule: &str, line: u32) -> bool {
-        [line, line.saturating_sub(1)].iter().any(|l| {
-            self.allows
-                .get(l)
-                .is_some_and(|rules| rules.iter().any(|r| r == rule))
-        })
-    }
-}
-
-/// Lexes `src`, stripping comments and literals.
-pub fn lex(src: &str) -> Lexed {
+/// Lexes `src` into its token stream, stripping comments and literals.
+pub fn lex(src: &str) -> Vec<Token> {
     let bytes = src.as_bytes();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
 
@@ -111,9 +82,7 @@ pub fn lex(src: &str) -> Lexed {
             }
             c if c.is_whitespace() => i += c.len_utf8(),
             '/' if bytes.get(i + 1) == Some(&b'/') => {
-                let end = src[i..].find('\n').map_or(bytes.len(), |o| i + o);
-                scan_allow_directive(&src[i..end], line, &mut out.allows);
-                i = end;
+                i = src[i..].find('\n').map_or(bytes.len(), |o| i + o);
             }
             '/' if bytes.get(i + 1) == Some(&b'*') => {
                 // Block comment, nesting respected.
@@ -131,7 +100,6 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                 }
-                scan_allow_directive(&src[start..i], line, &mut out.allows);
                 bump_lines!(&src[start..i]);
             }
             '"' => {
@@ -174,7 +142,7 @@ pub fn lex(src: &str) -> Lexed {
                         // 'a' — a char literal.
                         i += 1 + ident_len + 1;
                     } else if ident_len > 0 {
-                        out.tokens.push(Token {
+                        out.push(Token {
                             line,
                             start: i as u32,
                             end: (i + 1 + ident_len) as u32,
@@ -202,7 +170,7 @@ pub fn lex(src: &str) -> Lexed {
                     .take_while(|(_, ch)| ch.is_alphanumeric() || *ch == '_')
                     .last()
                     .map_or(1, |(o, ch)| o + ch.len_utf8());
-                out.tokens.push(Token {
+                out.push(Token {
                     line,
                     start: i as u32,
                     end: (i + len) as u32,
@@ -225,7 +193,7 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     end += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     line,
                     start: i as u32,
                     end: end as u32,
@@ -234,7 +202,7 @@ pub fn lex(src: &str) -> Lexed {
                 i = end;
             }
             c => {
-                out.tokens.push(Token {
+                out.push(Token {
                     line,
                     start: i as u32,
                     end: (i + c.len_utf8()) as u32,
@@ -245,32 +213,6 @@ pub fn lex(src: &str) -> Lexed {
         }
     }
     out
-}
-
-/// Records the rules named by a `simlint: allow(a, b)` directive in
-/// `comment` (which may span lines; the directive applies at its own line).
-fn scan_allow_directive(comment: &str, first_line: u32, allows: &mut BTreeMap<u32, Vec<String>>) {
-    for (off, text) in comment.lines().enumerate() {
-        let Some(pos) = text.find("simlint:") else {
-            continue;
-        };
-        let rest = text[pos + "simlint:".len()..].trim_start();
-        let Some(args) = rest.strip_prefix("allow") else {
-            continue;
-        };
-        let args = args.trim_start();
-        let Some(inner) = args.strip_prefix('(').and_then(|a| a.split(')').next()) else {
-            continue;
-        };
-        let line = first_line + off as u32;
-        let entry = allows.entry(line).or_default();
-        for rule in inner.split(',') {
-            let rule = rule.trim();
-            if !rule.is_empty() {
-                entry.push(rule.to_string());
-            }
-        }
-    }
 }
 
 /// `true` when `bytes[i..]` starts a raw (byte) string: `r"`, `r#`, `br"`,
@@ -340,7 +282,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .iter()
             .filter_map(|t| t.ident().map(str::to_string))
             .collect()
@@ -374,24 +315,10 @@ let y = foo; // trailing
     }
 
     #[test]
-    fn allow_directives_are_collected() {
-        let src = "\nlet a = 1; // simlint: allow(hot-path-alloc)\n// simlint: allow(naive-twin, unused-allow)\nlet b = 2;\n";
-        let lexed = lex(src);
-        assert!(lexed.is_allowed("hot-path-alloc", 2));
-        assert!(lexed.is_allowed("naive-twin", 4)); // line above
-        assert!(lexed.is_allowed("unused-allow", 3));
-        assert!(!lexed.is_allowed("hot-path-alloc", 4));
-    }
-
-    #[test]
     fn line_numbers_survive_multiline_strings() {
         let src = "let s = \"a\nb\nc\";\nlet t = 1;";
-        let lexed = lex(src);
-        let t = lexed
-            .tokens
-            .iter()
-            .find(|tok| tok.is_ident("t"))
-            .expect("t");
+        let tokens = lex(src);
+        let t = tokens.iter().find(|tok| tok.is_ident("t")).expect("t");
         assert_eq!(t.line, 4);
     }
 }

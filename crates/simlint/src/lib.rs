@@ -1,51 +1,36 @@
-//! `simlint` — the workspace's invariant auditor for what a type checker
-//! cannot see.
+//! `simlint` — the workspace's naive-twin auditor.
 //!
-//! Clippy enforces the type-level half of determinism: `crates/clippy.toml`
-//! bans the wall clock, environment reads, raw threads, `Arc::get_mut` and
-//! hash collections in every package under `crates/`. `simlint` checks the
-//! structural invariants that need a whole-workspace call graph — the
-//! kernel's steady state does not allocate, and every indexed query keeps a
-//! naive ground truth — at the source level, in CI:
+//! Every indexed telemetry and defense query keeps a `*_naive` full-scan
+//! twin that a test compares it against; delete the twin, or stop testing
+//! it, and the indexed path loses its ground truth while every caller keeps
+//! compiling. `simlint` checks that convention at the source level, in CI:
 //!
 //! ```text
-//! cargo run -p simlint -- --check [--format text|json|sarif] [--root <dir>]
-//! cargo run -p simlint -- --list-rules
+//! cargo run -p simlint -- --check [--root <dir>]
 //! ```
 //!
-//! Rules (see [`registry::RULES`]; each suppressible per line with
-//! `// simlint: allow(<rule>)` on the flagged line or the line above):
+//! It has one rule, `naive-twin` (see [`twin`]). The other invariants the
+//! workspace relies on are checked where they can be measured or typed:
+//! clippy bans the wall clock, environment reads, raw threads,
+//! `Arc::get_mut` and hash collections in every package under `crates/`
+//! (`crates/clippy.toml`), and the `alloc_budget` test counts the kernel's
+//! allocations per request at run time.
 //!
-//! * `hot-path-alloc` — no allocation constructors reachable from the
-//!   kernel's hot entry points (see [`hotpath`]);
-//! * `naive-twin` — every indexed query keeps a test-exercised `*_naive`
-//!   ground-truth twin (see [`twin`]);
-//! * `bad-allow` / `unused-allow` — the allow escape hatch itself is
-//!   audited (see [`allow`]).
-//!
-//! The implementation is a hand-rolled lexer, a lightweight item parser
-//! ([`parse`]) resolving `fn`/`impl` items and call sites into a function
-//! graph ([`graph`]), and the rule passes over that graph — no external
+//! The implementation is a hand-rolled lexer ([`lexer`]) and an item scan
+//! ([`parse`]) that finds every `fn` with its impl type — no external
 //! parser dependencies, consistent with the workspace's offline `vendor/`
-//! policy. It is heuristic by design: type-blind, tuned so that everything
-//! it flags in this workspace is a real hazard or carries an explicit,
-//! reviewable `allow`.
+//! policy.
 //!
 //! ## Exit codes (stable)
 //!
 //! | code | meaning                                                  |
 //! |------|----------------------------------------------------------|
-//! | 0    | clean: no `error`-severity findings (warnings permitted) |
-//! | 1    | at least one unsuppressed `error`-severity finding       |
+//! | 0    | clean: no findings                                       |
+//! | 1    | at least one finding                                     |
 //! | 2    | internal error: bad usage, unreadable file, no workspace |
 
-pub mod allow;
-pub mod graph;
-pub mod hotpath;
 pub mod lexer;
-pub mod output;
 pub mod parse;
-pub mod registry;
 pub mod twin;
 
 use std::collections::BTreeSet;
@@ -55,54 +40,28 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use lexer::Token;
-use registry::Severity;
 
-/// One finding.
+/// One `naive-twin` finding.
 ///
-/// The derived ordering sorts by (file, line, rule, message) — the stable
-/// emission order every output format uses.
+/// The derived ordering sorts by (file, line, message), the order the
+/// findings are printed in.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Diagnostic {
     /// Workspace-relative file path (forward slashes).
     pub file: String,
     /// 1-based line number.
     pub line: u32,
-    /// Stable rule id (see [`registry::RULES`]).
-    pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
-    /// The finding's severity (defaults to the rule's registry severity).
-    pub severity: Severity,
 }
 
 impl Diagnostic {
-    pub(crate) fn new(rule: &'static str, file: &str, line: u32, message: String) -> Diagnostic {
+    pub(crate) fn new(file: &str, line: u32, message: String) -> Diagnostic {
         Diagnostic {
             file: file.replace('\\', "/"),
             line,
-            rule,
             message,
-            severity: registry::default_severity(rule),
         }
-    }
-
-    /// Overrides the severity (used for per-site downgrades like
-    /// `.clone()` on the hot path).
-    pub(crate) fn with_severity(mut self, severity: Severity) -> Diagnostic {
-        self.severity = severity;
-        self
-    }
-
-    /// The finding as a JSON object (hand-rolled; see [`output`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-            self.rule,
-            self.severity.as_str(),
-            output::json_escape(&self.file),
-            self.line,
-            output::json_escape(&self.message)
-        )
     }
 }
 
@@ -110,17 +69,16 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: {}[{}] {}",
-            self.file, self.line, self.severity, self.rule, self.message
+            "{}:{}: error[naive-twin] {}",
+            self.file, self.line, self.message
         )
     }
 }
 
-/// Crates whose `src/` trees are simulation code and get the full rule set.
+/// Crates whose `src/` trees are scanned for indexed queries and twins.
 ///
-/// `bench` is exempt (it measures wall time by design) and so is `simlint`
-/// itself. `examples/` and `tests/` directories are harness code: they
-/// drive simulations but their own statements never execute inside one.
+/// `bench` and `simlint` hold none. `examples/` and `tests/` directories
+/// are harness code: they feed only the test-identifier set.
 pub const SIM_CRATES: [&str; 11] = [
     "apps",
     "baselines",
@@ -135,21 +93,18 @@ pub const SIM_CRATES: [&str; 11] = [
     "workload",
 ];
 
-/// One scanned source file: lexed (with `#[cfg(test)]` regions stripped
-/// from the token stream, allow directives retained) and item-parsed.
+/// One scanned source file: its `fn` items outside `#[cfg(test)]` regions.
 #[derive(Debug)]
 pub struct SrcFile {
     /// Workspace-relative path (forward slashes).
     pub path: String,
-    /// The lexed file; `tokens` holds only non-test code.
-    pub lexed: lexer::Lexed,
-    /// Parsed `fn` items (with impl context and call sites).
+    /// Parsed `fn` items (name, impl type, visibility, line).
     pub fns: Vec<parse::FnItem>,
 }
 
-/// The whole workspace as the rules see it: scanned source files plus the
-/// set of identifiers appearing in test code (used by `naive-twin` to
-/// verify twins are exercised).
+/// The whole workspace as the rule sees it: scanned source files plus the
+/// set of identifiers appearing in test code (used to verify twins are
+/// exercised).
 #[derive(Debug)]
 pub struct Model {
     /// Scanned simulation source files, in deterministic path order.
@@ -167,23 +122,19 @@ impl Model {
         let mut files = Vec::with_capacity(sources.len());
         let mut test_idents = BTreeSet::new();
         for (path, src) in sources {
-            let mut lexed = lexer::lex(src);
-            let (kept, test) = split_cfg_test(std::mem::take(&mut lexed.tokens));
-            lexed.tokens = kept;
+            let (kept, test) = split_cfg_test(lexer::lex(src));
             for t in &test {
                 if let Some(id) = t.ident() {
                     test_idents.insert(id.to_string());
                 }
             }
-            let fns = parse::parse_items(&lexed.tokens);
             files.push(SrcFile {
                 path: path.replace('\\', "/"),
-                lexed,
-                fns,
+                fns: parse::parse_items(&kept),
             });
         }
         for (_path, src) in test_sources {
-            for t in &lexer::lex(src).tokens {
+            for t in &lexer::lex(src) {
                 if let Some(id) = t.ident() {
                     test_idents.insert(id.to_string());
                 }
@@ -238,9 +189,8 @@ impl Model {
 
 /// Splits a token stream into (non-test tokens, `#[cfg(test)]` tokens).
 ///
-/// The rules lint only the first half: test modules assert over simulation
-/// output, and nothing in them runs on the kernel's hot path. The test half
-/// feeds the `naive-twin` rule's reference scan: an indexed query's
+/// Items are scanned only in the first half: a test module's helpers are
+/// not queries. The test half feeds the reference scan: an indexed query's
 /// ground-truth twin counts as exercised when its name appears in any test
 /// code, including in-file `#[cfg(test)]` modules.
 fn split_cfg_test(toks: Vec<Token>) -> (Vec<Token>, Vec<Token>) {
@@ -349,12 +299,10 @@ fn skip_attr(toks: &[Token], i: usize) -> usize {
     j
 }
 
-/// Runs the full rule set over a model: the hot-path and naive-twin graph
-/// rules, then allow-directive accounting. Diagnostics come back sorted by
-/// (path, line, rule).
+/// Runs `naive-twin` over a model. Diagnostics come back sorted by (path,
+/// line, message).
 pub fn lint_model(model: &Model) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    hotpath::check(&model.files, &hotpath::HOT_SEEDS, &mut out);
     twin::check(
         &model.files,
         &model.test_idents,
@@ -362,7 +310,6 @@ pub fn lint_model(model: &Model) -> Vec<Diagnostic> {
         &twin::INDEXED_LOGS,
         &mut out,
     );
-    allow::apply(&model.files, &mut out);
     out.sort();
     out.dedup();
     out

@@ -1,24 +1,17 @@
-//! CLI for the workspace invariant auditor.
+//! CLI for the naive-twin auditor.
 //!
 //! ```text
-//! cargo run -p simlint -- --check [--format text|json|sarif] [--root <dir>]
-//! cargo run -p simlint -- --list-rules
+//! cargo run -p simlint -- --check [--root <dir>]
 //! ```
 //!
 //! Exit codes are stable (scripts and CI rely on them):
 //!
-//! * `0` — clean: no `error`-severity findings (warnings are advisory);
-//! * `1` — at least one unsuppressed `error`-severity finding;
+//! * `0` — clean: no findings;
+//! * `1` — at least one finding;
 //! * `2` — internal error: bad usage, unreadable input, or no workspace.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
 
 fn main() -> ExitCode {
     #[expect(
@@ -26,28 +19,11 @@ fn main() -> ExitCode {
         reason = "a lint CLI, not simulation code: argv cannot affect simulated histories"
     )]
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
-    let mut list_rules = false;
     let mut i = 0usize;
     while i < args.len() {
         match args[i].as_str() {
             "--check" => {} // the default mode; kept for CI clarity
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some("sarif") => Format::Sarif,
-                    other => {
-                        eprintln!(
-                            "--format expects text|json|sarif, got {:?}",
-                            other.unwrap_or("nothing")
-                        );
-                        return ExitCode::from(2);
-                    }
-                };
-            }
             "--root" => {
                 i += 1;
                 let Some(dir) = args.get(i) else {
@@ -56,10 +32,9 @@ fn main() -> ExitCode {
                 };
                 root = Some(PathBuf::from(dir));
             }
-            "--list-rules" => list_rules = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: simlint [--check] [--format text|json|sarif] [--root <dir>]\n       simlint --list-rules\n\nexit codes: 0 clean (no error-severity findings), 1 violations, 2 internal error"
+                    "usage: simlint [--check] [--root <dir>]\n\nexit codes: 0 clean, 1 findings, 2 internal error"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -69,13 +44,6 @@ fn main() -> ExitCode {
             }
         }
         i += 1;
-    }
-
-    if list_rules {
-        for rule in &simlint::registry::RULES {
-            println!("{:<18} {:<8} {}", rule.id, rule.severity, rule.summary);
-        }
-        return ExitCode::SUCCESS;
     }
 
     let root = root.or_else(|| {
@@ -102,32 +70,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    match format {
-        Format::Json => println!("{}", simlint::output::json_array(&diagnostics)),
-        Format::Sarif => println!("{}", simlint::output::sarif(&diagnostics)),
-        Format::Text => {
-            for d in &diagnostics {
-                println!("{d}");
-            }
-            let errors = diagnostics
-                .iter()
-                .filter(|d| d.severity == simlint::registry::Severity::Error)
-                .count();
-            let warnings = diagnostics.len() - errors;
-            if diagnostics.is_empty() {
-                eprintln!("simlint: workspace clean");
-            } else {
-                eprintln!(
-                    "simlint: {errors} error(s), {warnings} warning(s); suppress a reviewed line with `// simlint: allow(<rule>)`"
-                );
-            }
-        }
+    for d in &diagnostics {
+        println!("{d}");
     }
-
-    if simlint::output::has_errors(&diagnostics) {
-        ExitCode::FAILURE
-    } else {
+    if diagnostics.is_empty() {
+        eprintln!("simlint: workspace clean");
         ExitCode::SUCCESS
+    } else {
+        eprintln!("simlint: {} finding(s)", diagnostics.len());
+        ExitCode::FAILURE
     }
 }

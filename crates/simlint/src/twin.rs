@@ -1,7 +1,7 @@
 //! Rule `naive-twin`: every indexed query entry point must keep a `*_naive`
 //! full-scan twin that at least one test exercises.
 //!
-//! The CSR posting-list indexes (PR 4/5) make windowed telemetry and
+//! The CSR posting-list indexes make windowed telemetry and
 //! defense queries fast, but their correctness story is the differential
 //! against a naive full scan with bit-identical float accumulation order.
 //! Delete the naive twin — or stop testing against it — and the indexed
@@ -20,13 +20,9 @@
 //! * the twin's name must appear in test code (a `tests/` tree or a
 //!   `#[cfg(test)]` module) — an untested ground truth is no ground truth.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::graph::FnGraph;
 use crate::{Diagnostic, SrcFile};
-
-/// Rule id.
-pub const NAIVE_TWIN: &str = "naive-twin";
 
 /// One explicitly registered indexed query entry point.
 #[derive(Debug, Clone, Copy)]
@@ -70,12 +66,23 @@ pub const INDEXED_LOGS: [&str; 3] = ["AccessLog", "RequestLog", "WindowLog"];
 
 /// Derives the twin's name: strip a `_window`/`_in` suffix, append
 /// `_naive`.
-pub fn twin_name(entry: &str) -> String {
+fn twin_name(entry: &str) -> String {
     let base = entry
         .strip_suffix("_window")
         .or_else(|| entry.strip_suffix("_in"))
         .unwrap_or(entry);
     format!("{base}_naive")
+}
+
+/// The file and line of the first item defining `type_name::fn_name`, in
+/// source order.
+fn find<'a>(files: &'a [SrcFile], type_name: &str, fn_name: &str) -> Option<(&'a str, u32)> {
+    files.iter().find_map(|file| {
+        file.fns
+            .iter()
+            .find(|f| f.name == fn_name && f.impl_type.as_deref() == Some(type_name))
+            .map(|f| (file.path.as_str(), f.line))
+    })
 }
 
 /// Runs the rule over a model's files.
@@ -86,65 +93,44 @@ pub fn check(
     indexed_logs: &[&str],
     out: &mut Vec<Diagnostic>,
 ) {
-    let graph = FnGraph::build(files);
-    // (type, fn, file, line) of every entry point to check, deduped.
-    let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut points: Vec<(String, String, String, u32)> = Vec::new();
+    // (type, fn) of every entry point to check, deduped, with the place
+    // that defines it.
+    let mut points: BTreeMap<(&str, &str), (&str, u32)> = BTreeMap::new();
 
     for e in entries {
-        let nodes = graph.typed(e.type_name, e.fn_name);
-        let Some(&id) = nodes.first() else {
-            out.push(Diagnostic::new(
-                NAIVE_TWIN,
+        match find(files, e.type_name, e.fn_name) {
+            Some(at) => {
+                points.entry((e.type_name, e.fn_name)).or_insert(at);
+            }
+            None => out.push(Diagnostic::new(
                 e.anchor_file,
                 1,
                 format!(
                     "registered indexed query `{}::{}` not found in the workspace; update simlint's TWIN_ENTRIES if it was renamed",
                     e.type_name, e.fn_name
                 ),
-            ));
-            continue;
-        };
-        if seen.insert((e.type_name.to_string(), e.fn_name.to_string())) {
-            let f = graph.item(id);
-            points.push((
-                e.type_name.to_string(),
-                e.fn_name.to_string(),
-                files[id.file].path.clone(),
-                f.line,
-            ));
+            )),
         }
     }
 
     // Discover `pub fn *_window` / `*_in` on the indexed log types.
-    for &id in &graph.nodes {
-        let f = graph.item(id);
-        let Some(ty) = f.impl_type.as_deref() else {
-            continue;
-        };
-        if !indexed_logs.contains(&ty) || !f.is_pub {
-            continue;
-        }
-        if f.name.ends_with("_naive") || !(f.name.ends_with("_window") || f.name.ends_with("_in")) {
-            continue;
-        }
-        if seen.insert((ty.to_string(), f.name.clone())) {
-            points.push((
-                ty.to_string(),
-                f.name.clone(),
-                files[id.file].path.clone(),
-                f.line,
-            ));
+    for file in files {
+        for f in &file.fns {
+            let Some(ty) = f.impl_type.as_deref() else {
+                continue;
+            };
+            let windowed = f.name.ends_with("_window") || f.name.ends_with("_in");
+            if indexed_logs.contains(&ty) && f.is_pub && windowed {
+                points.entry((ty, &f.name)).or_insert((&file.path, f.line));
+            }
         }
     }
 
-    for (ty, name, path, line) in points {
-        let twin = twin_name(&name);
-        let twin_nodes = graph.typed(&ty, &twin);
-        let Some(&twin_id) = twin_nodes.first() else {
+    for ((ty, name), (path, line)) in points {
+        let twin = twin_name(name);
+        let Some((twin_path, twin_line)) = find(files, ty, &twin) else {
             out.push(Diagnostic::new(
-                NAIVE_TWIN,
-                &path,
+                path,
                 line,
                 format!(
                     "indexed query `{ty}::{name}` has no `{ty}::{twin}` full-scan twin; the indexed path needs a naive ground truth with identical accumulation order"
@@ -153,11 +139,9 @@ pub fn check(
             continue;
         };
         if !test_idents.contains(&twin) {
-            let tf = graph.item(twin_id);
             out.push(Diagnostic::new(
-                NAIVE_TWIN,
-                &files[twin_id.file].path,
-                tf.line,
+                twin_path,
+                twin_line,
                 format!(
                     "`{ty}::{twin}` exists but no test references it; the naive/indexed differential for `{ty}::{name}` is not exercised"
                 ),

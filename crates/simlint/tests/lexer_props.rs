@@ -15,8 +15,8 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
         let src = String::from_utf8_lossy(&bytes).into_owned();
-        let lexed = lex(&src);
-        prop_assert!(lexed.tokens.len() <= src.len() + 1);
+        let tokens = lex(&src);
+        prop_assert!(tokens.len() <= src.len() + 1);
         let model = simlint::Model::from_sources(&[("fuzz.rs".to_string(), src)], &[]);
         let _ = simlint::lint_model(&model);
     }
@@ -29,10 +29,10 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
         let src = String::from_utf8_lossy(&bytes).into_owned();
-        let lexed = lex(&src);
+        let tokens = lex(&src);
         let mut prev_end = 0u32;
         let mut prev_line = 1u32;
-        for tok in &lexed.tokens {
+        for tok in &tokens {
             prop_assert!(tok.start < tok.end, "empty span {}..{}", tok.start, tok.end);
             prop_assert!(tok.start >= prev_end, "overlap: {} < {}", tok.start, prev_end);
             prop_assert!((tok.end as usize) <= src.len(), "span past EOF");

@@ -180,7 +180,6 @@ impl RngStream {
     pub fn weighted_choice_by(&mut self, weights: impl Iterator<Item = f64> + Clone) -> usize {
         let mut n = 0usize;
         let mut total = 0.0;
-        // simlint: allow(hot-path-alloc) — iterator-handle clone, not data
         for w in weights.clone() {
             total += w;
             n += 1;

@@ -204,7 +204,7 @@ impl<T, I> SegLog<T, I> {
     pub fn clear(&mut self) {
         // Fresh spine rather than `make_mut` + clear: forks sharing the old
         // spine keep it untouched.
-        self.sealed = Arc::new(Vec::new()); // simlint: allow(hot-path-alloc) — reset path, not the per-item path
+        self.sealed = Arc::new(Vec::new());
         self.tail.clear();
     }
 }
@@ -215,9 +215,10 @@ impl<T, I: SegIndex<T>> SegLog<T, I> {
     pub fn push(&mut self, item: T) {
         self.tail.push(item);
         if self.tail.len() == self.seg_cap {
-            let items = std::mem::replace(&mut self.tail, Vec::with_capacity(self.seg_cap)); // simlint: allow(hot-path-alloc) — amortized: one seal per seg_cap pushes
+            // Amortized: one seal per `seg_cap` pushes.
+            let items = std::mem::replace(&mut self.tail, Vec::with_capacity(self.seg_cap));
             let index = I::build(&items);
-            let seg = Arc::new(Segment { items, index }); // simlint: allow(hot-path-alloc) — amortized: one seal per seg_cap pushes
+            let seg = Arc::new(Segment { items, index });
             Arc::make_mut(&mut self.sealed).push(seg);
         }
     }

@@ -307,7 +307,7 @@ impl SortedRun {
 
 impl SegIndex<f64> for SortedRun {
     fn build(items: &[f64]) -> Self {
-        let mut sorted = items.to_vec(); // simlint: allow(hot-path-alloc) — amortized: one sort copy per seal
+        let mut sorted = items.to_vec(); // amortized: one sort copy per segment seal
         sorted.sort_by(by_value);
         SortedRun(sorted)
     }
