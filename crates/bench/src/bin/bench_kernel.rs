@@ -685,12 +685,13 @@ fn main() {
     fields.extend(c.report(["indexed", "naive", "speedup"], "us", 1e-3));
     sections.push(("analysis_window_query", object(&fields, 2)));
 
-    eprintln!("== defense window analytics: indexed postings vs naive full scan ==");
+    eprintln!("== defense window analytics: one-sort window audit vs naive full scan ==");
     let dsim = defense_sim(1_200);
     let dm = dsim.metrics();
     // A 20 s audit window out of a 20-minute run: <2% selectivity. The
-    // indexed paths collate from per-segment IP/session posting lists; the
-    // naive ground truths scan and filter every access-log entry.
+    // indexed paths visit only the window's entries and group them by IP or
+    // session with one sort; the naive ground truths scan and filter every
+    // access-log entry.
     let (w_from, w_to) = (SimTime::from_secs(600), SimTime::from_secs(620));
     let ids = defense::Ids::new(defense::IdsConfig::default());
     let shield = defense::RateShield::paper_default();

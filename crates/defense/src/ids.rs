@@ -3,9 +3,11 @@
 use std::collections::BTreeMap;
 
 use callgraph::ServiceId;
-use microsim::Metrics;
+use microsim::{Metrics, Origin};
 use simnet::{SimDuration, SimTime};
 use telemetry::CoarseMonitor;
+
+use crate::window;
 
 /// Which rule class produced an alert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,25 +118,25 @@ impl Ids {
 
     /// Runs every rule class over the recorded run.
     ///
-    /// Routes through the access-log index ([`Ids::analyze_window`] with an
-    /// all-covering window); [`Ids::analyze_naive`] is the full-scan ground
-    /// truth and returns an identical report.
+    /// Routes through [`Ids::analyze_window`] with an all-covering window;
+    /// [`Ids::analyze_naive`] is the full-scan ground truth and returns an
+    /// identical report.
     pub fn analyze(&self, metrics: &Metrics) -> IdsReport {
         self.analyze_window(metrics, SimTime::ZERO, SimTime::FAR_FUTURE)
     }
 
     /// Runs every rule class over the entries submitted in `[from, to)`
     /// (and, for the resource rule, the 1 s samples starting in the
-    /// window), touching only matching log entries via the per-segment
-    /// IP/session indexes — O(matching + sessions·segments), not O(run).
+    /// window). The content and interval rules share one pass over the
+    /// window and one sort: O(m log m) for the m in-window entries, not
+    /// O(run).
     ///
     /// Window semantics: a rule sees exactly the in-window entries; an
     /// interval pair straddling `from` is not flagged because its first
     /// half is outside the window.
     pub fn analyze_window(&self, metrics: &Metrics, from: SimTime, to: SimTime) -> IdsReport {
         let mut alerts = Vec::new();
-        self.content_rules_indexed(metrics, from, to, &mut alerts);
-        self.interval_rule_indexed(metrics, from, to, &mut alerts);
+        self.entry_rules(metrics, from, to, &mut alerts);
         self.resource_rule_indexed(metrics, from, to, &mut alerts);
         alerts.sort_by_key(|a| a.at);
         IdsReport { alerts }
@@ -152,19 +154,25 @@ impl Ids {
         IdsReport { alerts }
     }
 
+    /// The content and interval rules over one window, in one pass and one
+    /// sort.
+    ///
     /// Content / protocol sanity: in the simulator every submission is a
     /// well-formed request of a known type, so these fire only on
     /// structurally absurd payload sizes — the hook exists to demonstrate
-    /// that Grunt's traffic cannot trip this rule class. Indexed: visits
-    /// only the in-window run of each segment.
-    fn content_rules_indexed(
-        &self,
-        metrics: &Metrics,
-        from: SimTime,
-        to: SimTime,
-        alerts: &mut Vec<Alert>,
-    ) {
-        metrics.access_log().for_each_in(from, to, |e| {
+    /// that Grunt's traffic cannot trip this rule class.
+    ///
+    /// The user-behaviour interval rule: consecutive in-window requests of
+    /// one session closer than the threshold are flagged. The window is
+    /// sorted by session, grouping on the session's low 32 bits; sessions
+    /// that share those bits share a group, which a stable sort by the full
+    /// session splits, each still in log order. The flagged entries are
+    /// then emitted by ordinal, which is log order, so the alerts are
+    /// identical to the naive scan's.
+    fn entry_rules(&self, metrics: &Metrics, from: SimTime, to: SimTime, alerts: &mut Vec<Alert>) {
+        let log = metrics.access_log();
+        let mut entries: Vec<(SimTime, Origin)> = Vec::with_capacity(log.count_in(from, to));
+        let mut keys = window::sorted_keys(log, from, to, |e| {
             if e.bytes > self.config.max_request_bytes {
                 alerts.push(Alert {
                     at: e.at,
@@ -174,10 +182,38 @@ impl Ids {
                     hit_attacker: e.origin.is_attack,
                 });
             }
+            entries.push((e.at, e.origin));
+            e.origin.session as u32
         });
+        for run in keys.chunk_by_mut(|&a, &b| window::group(a) == window::group(b)) {
+            run.sort_by_key(|&k| entries[window::ordinal(k)].1.session);
+        }
+        let mut flagged = vec![false; entries.len()];
+        for pair in keys.windows(2) {
+            let (prev_at, prev) = entries[window::ordinal(pair[0])];
+            let (at, next) = entries[window::ordinal(pair[1])];
+            if prev.session == next.session
+                && at.saturating_since(prev_at) < self.config.min_session_interval
+            {
+                flagged[window::ordinal(pair[1])] = true;
+            }
+        }
+        alerts.extend(
+            entries
+                .iter()
+                .zip(flagged)
+                .filter(|&(_, flagged)| flagged)
+                .map(|(&(at, origin), _)| Alert {
+                    at,
+                    kind: AlertKind::IntervalViolation,
+                    session: Some(origin.session),
+                    service: None,
+                    hit_attacker: origin.is_attack,
+                }),
+        );
     }
 
-    /// Full-scan twin of [`Ids::content_rules_indexed`].
+    /// Full-scan twin of the content rule in [`Ids::entry_rules`].
     fn content_rules_naive(
         &self,
         metrics: &Metrics,
@@ -198,47 +234,7 @@ impl Ids {
         }
     }
 
-    /// The user-behaviour interval rule: consecutive in-window requests of
-    /// one session closer than the threshold are flagged. Indexed: walks
-    /// each session's clipped posting lists instead of threading a
-    /// last-seen map through a full scan, then restores global submission
-    /// order via the entries' log offsets so the emitted alerts are
-    /// identical to the naive scan's.
-    fn interval_rule_indexed(
-        &self,
-        metrics: &Metrics,
-        from: SimTime,
-        to: SimTime,
-        alerts: &mut Vec<Alert>,
-    ) {
-        let log = metrics.access_log();
-        let mut flagged: Vec<(usize, Alert)> = Vec::new();
-        for (session, times) in log.per_session_in(from, to) {
-            let mut prev: Option<SimTime> = None;
-            for (offset, at) in times {
-                if let Some(p) = prev {
-                    if at.saturating_since(p) < self.config.min_session_interval {
-                        let e = log.get(offset).expect("indexed offset in range");
-                        flagged.push((
-                            offset,
-                            Alert {
-                                at,
-                                kind: AlertKind::IntervalViolation,
-                                session: Some(session),
-                                service: None,
-                                hit_attacker: e.origin.is_attack,
-                            },
-                        ));
-                    }
-                }
-                prev = Some(at);
-            }
-        }
-        flagged.sort_by_key(|(offset, _)| *offset);
-        alerts.extend(flagged.into_iter().map(|(_, alert)| alert));
-    }
-
-    /// Full-scan twin of [`Ids::interval_rule_indexed`].
+    /// Full-scan twin of the interval rule in [`Ids::entry_rules`].
     fn interval_rule_naive(
         &self,
         metrics: &Metrics,

@@ -23,6 +23,7 @@
 pub mod correlation;
 pub mod ids;
 pub mod shield;
+mod window;
 
 pub use correlation::{CorrelationDefense, CorrelationReport, SessionScore};
 pub use ids::{Alert, AlertKind, Ids, IdsConfig, IdsReport};

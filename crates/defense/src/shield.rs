@@ -5,6 +5,8 @@ use std::collections::BTreeMap;
 use microsim::Metrics;
 use simnet::{SimDuration, SimTime};
 
+use crate::window;
+
 /// Verdict of the shield for one source IP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShieldVerdict {
@@ -49,28 +51,36 @@ impl RateShield {
     /// Replays the access log and returns the verdict per IP (sliding
     /// window, exact).
     ///
-    /// Routes through the per-segment IP index ([`RateShield::analyze_window`]
-    /// with an all-covering window); [`RateShield::analyze_naive`] is the
-    /// full-scan ground truth and returns an identical map.
+    /// Routes through [`RateShield::analyze_window`] with an all-covering
+    /// window; [`RateShield::analyze_naive`] is the full-scan ground truth
+    /// and returns an identical map.
     pub fn analyze(&self, metrics: &Metrics) -> BTreeMap<u32, ShieldVerdict> {
         self.analyze_window(metrics, SimTime::ZERO, SimTime::FAR_FUTURE)
     }
 
-    /// Verdict per IP over the submissions in `[from, to)` only, collated
-    /// straight from the access log's per-segment IP posting lists —
-    /// O(matching + ips·segments), not O(run). The collation is already
-    /// chronological per IP, so no re-sort is needed.
+    /// Verdict per IP over the submissions in `[from, to)` only, grouped
+    /// by IP with one sort of the window: O(m log m) for the m in-window
+    /// entries, not O(run). Each IP's run of sorted keys is in log order,
+    /// so its times are chronological.
     pub fn analyze_window(
         &self,
         metrics: &Metrics,
         from: SimTime,
         to: SimTime,
     ) -> BTreeMap<u32, ShieldVerdict> {
-        metrics
-            .access_log()
-            .per_ip_times_in(from, to)
-            .into_iter()
-            .map(|(ip, times)| (ip, self.verdict(&times)))
+        let log = metrics.access_log();
+        let mut times: Vec<SimTime> = Vec::with_capacity(log.count_in(from, to));
+        let keys = window::sorted_keys(log, from, to, |e| {
+            times.push(e.at);
+            e.origin.ip
+        });
+        let mut run: Vec<SimTime> = Vec::new();
+        keys.chunk_by(|&a, &b| window::group(a) == window::group(b))
+            .map(|ip_keys| {
+                run.clear();
+                run.extend(ip_keys.iter().map(|&k| times[window::ordinal(k)]));
+                (window::group(ip_keys[0]), self.verdict(&run))
+            })
             .collect()
     }
 

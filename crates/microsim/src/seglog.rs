@@ -51,8 +51,8 @@ impl RequestFilter {
 }
 
 /// Compressed-sparse-row posting lists: `group(k)` is the ascending list of
-/// record offsets whose key is `k`. The per-segment indexes of
-/// [`RequestLog`] and [`AccessLog`] are built from these.
+/// record offsets whose key is `k`. The per-segment [`RequestIndex`] of
+/// the [`RequestLog`] is built from these.
 #[derive(Debug, Clone)]
 pub(crate) struct Csr {
     /// `starts[k]..starts[k + 1]` delimits group `k` inside `offsets`.
@@ -305,60 +305,33 @@ impl Matched<'_> {
     }
 }
 
-/// Per-segment index of the [`AccessLog`]: the segment's time range
-/// plus CSR posting lists keyed by source IP and by session.
-///
-/// IPs and sessions are sparse identifiers, so each segment remaps the
-/// (typically few) distinct values it contains to dense CSR keys via the
-/// sorted `ips` / `sessions` tables.
+/// Per-segment index of the [`AccessLog`]: the segment's time range, so
+/// a window query skips whole segments without touching their entries.
 #[derive(Debug, Clone)]
 pub struct AccessIndex {
     /// Submission time of the segment's first entry.
     first: SimTime,
     /// Submission time of the segment's last entry.
     last: SimTime,
-    /// Sorted distinct source IPs appearing in the segment.
-    ips: Vec<u32>,
-    /// Offsets keyed by the position of the entry's IP in `ips`.
-    by_ip: Csr,
-    /// Sorted distinct sessions appearing in the segment.
-    sessions: Vec<u64>,
-    /// Offsets keyed by the position of the entry's session in `sessions`.
-    by_session: Csr,
 }
 
 impl SegIndex<AccessLogEntry> for AccessIndex {
     fn build(entries: &[AccessLogEntry]) -> AccessIndex {
-        // Runs only at segment seal, once per `seg_cap` entries.
-        let mut ips: Vec<u32> = entries.iter().map(|e| e.origin.ip).collect();
-        ips.sort_unstable();
-        ips.dedup();
-        let mut sessions: Vec<u64> = entries.iter().map(|e| e.origin.session).collect();
-        sessions.sort_unstable();
-        sessions.dedup();
         AccessIndex {
             first: entries.first().map_or(SimTime::ZERO, |e| e.at),
             last: entries.last().map_or(SimTime::ZERO, |e| e.at),
-            by_ip: Csr::build(entries, |e| {
-                ips.binary_search(&e.origin.ip).expect("ip in table")
-            }),
-            ips,
-            by_session: Csr::build(entries, |e| {
-                sessions
-                    .binary_search(&e.origin.session)
-                    .expect("session in table")
-            }),
-            sessions,
         }
     }
 }
 
 /// The access log: a [`SegLog`] of [`AccessLogEntry`]s (one per submitted
-/// request) whose segments each carry an [`AccessIndex`] keyed by source IP
-/// and session, so defense analytics (`defense::Ids`,
-/// `defense::RateShield`) touch only the entries matching their window
-/// instead of scanning the whole run. Derefs to the underlying [`SegLog`]
-/// for plain reads.
+/// request) whose segments each carry an [`AccessIndex`] of their time
+/// range, so a window query ([`AccessLog::for_each_in`],
+/// [`AccessLog::count_in`]) binary-searches only the segments overlapping
+/// the window instead of scanning the whole run. The log indexes time
+/// only: defense analytics (`defense::Ids`, `defense::RateShield`) group
+/// one window's entries by IP or session with a single sort. Derefs to the
+/// underlying [`SegLog`] for plain reads.
 ///
 /// Entries are appended at submission time, and submissions happen in
 /// event order, so the log is sorted by `at` — asserted on push in debug
@@ -426,93 +399,6 @@ impl AccessLog {
         n + (hi - lo)
     }
 
-    /// Per-IP submission times inside `[from, to)`, chronological within
-    /// each IP. O(log) per overlapping segment and IP to clip the posting
-    /// list, O(matching) to collect — a sliding-window consumer (the rate
-    /// shield) never touches the out-of-window prefix.
-    pub fn per_ip_times_in(
-        &self,
-        from: SimTime,
-        to: SimTime,
-    ) -> std::collections::BTreeMap<u32, Vec<SimTime>> {
-        let mut by_ip: std::collections::BTreeMap<u32, Vec<SimTime>> =
-            std::collections::BTreeMap::new();
-        if to <= from {
-            return by_ip;
-        }
-        for seg in self.overlapping(from, to) {
-            let (recs, index) = (seg.items(), seg.index());
-            for (k, &ip) in index.ips.iter().enumerate() {
-                let postings = index.by_ip.group(k);
-                let lo = postings.partition_point(|&o| recs[o as usize].at < from);
-                let hi = postings.partition_point(|&o| recs[o as usize].at < to);
-                if lo < hi {
-                    by_ip
-                        .entry(ip)
-                        .or_default()
-                        .extend(postings[lo..hi].iter().map(|&o| recs[o as usize].at));
-                }
-            }
-        }
-        let tail = self.0.tail();
-        let lo = tail.partition_point(|e| e.at < from);
-        let hi = tail.partition_point(|e| e.at < to);
-        for e in &tail[lo..hi] {
-            by_ip.entry(e.origin.ip).or_default().push(e.at);
-        }
-        by_ip
-    }
-
-    /// Per-session `(global offset, submission time)` pairs inside
-    /// `[from, to)`, chronological within each session. The global offset
-    /// is the entry's position in the full log, letting callers restore
-    /// exact submission order across sessions (e.g. for alert emission).
-    pub fn per_session_in(
-        &self,
-        from: SimTime,
-        to: SimTime,
-    ) -> std::collections::BTreeMap<u64, Vec<(usize, SimTime)>> {
-        let mut by_session: std::collections::BTreeMap<u64, Vec<(usize, SimTime)>> =
-            std::collections::BTreeMap::new();
-        if to <= from {
-            return by_session;
-        }
-        let seg_cap = self.0.seg_cap();
-        for (seg_idx, seg) in self
-            .0
-            .sealed()
-            .iter()
-            .enumerate()
-            .filter(|(_, seg)| from <= seg.index().last && seg.index().first < to)
-        {
-            let base = seg_idx * seg_cap;
-            let (recs, index) = (seg.items(), seg.index());
-            for (k, &session) in index.sessions.iter().enumerate() {
-                let postings = index.by_session.group(k);
-                let lo = postings.partition_point(|&o| recs[o as usize].at < from);
-                let hi = postings.partition_point(|&o| recs[o as usize].at < to);
-                if lo < hi {
-                    by_session.entry(session).or_default().extend(
-                        postings[lo..hi]
-                            .iter()
-                            .map(|&o| (base + o as usize, recs[o as usize].at)),
-                    );
-                }
-            }
-        }
-        let base = self.0.sealed().len() * seg_cap;
-        let tail = self.0.tail();
-        let lo = tail.partition_point(|e| e.at < from);
-        let hi = tail.partition_point(|e| e.at < to);
-        for (i, e) in tail[lo..hi].iter().enumerate() {
-            by_session
-                .entry(e.origin.session)
-                .or_default()
-                .push((base + lo + i, e.at));
-        }
-        by_session
-    }
-
     /// Full-scan twin of [`AccessLog::for_each_in`]: walks every entry and
     /// filters by time, ignoring the per-segment indexes. Ground truth for
     /// differential tests; visit order is identical (submission order).
@@ -532,44 +418,6 @@ impl AccessLog {
         let mut n = 0;
         self.for_each_naive(from, to, |_| n += 1);
         n
-    }
-
-    /// Full-scan twin of [`AccessLog::per_ip_times_in`]: per-IP insertion
-    /// order matches because both visit entries chronologically.
-    pub fn per_ip_times_naive(
-        &self,
-        from: SimTime,
-        to: SimTime,
-    ) -> std::collections::BTreeMap<u32, Vec<SimTime>> {
-        let mut by_ip: std::collections::BTreeMap<u32, Vec<SimTime>> =
-            std::collections::BTreeMap::new();
-        self.for_each_naive(from, to, |e| {
-            by_ip.entry(e.origin.ip).or_default().push(e.at);
-        });
-        by_ip
-    }
-
-    /// Full-scan twin of [`AccessLog::per_session_in`]: the global offset
-    /// is just the entry's position in the full log.
-    pub fn per_session_naive(
-        &self,
-        from: SimTime,
-        to: SimTime,
-    ) -> std::collections::BTreeMap<u64, Vec<(usize, SimTime)>> {
-        let mut by_session: std::collections::BTreeMap<u64, Vec<(usize, SimTime)>> =
-            std::collections::BTreeMap::new();
-        if to <= from {
-            return by_session;
-        }
-        for (i, e) in self.0.iter().enumerate() {
-            if e.at >= from && e.at < to {
-                by_session
-                    .entry(e.origin.session)
-                    .or_default()
-                    .push((i, e.at));
-            }
-        }
-        by_session
     }
 
     /// The sealed segments whose time range overlaps `[from, to)`, in
@@ -941,40 +789,10 @@ mod tests {
         assert_eq!(naive_seen, expect);
         assert_eq!(log.count_naive(from, to), expect.len());
 
-        let by_ip = log.per_ip_times_in(from, to);
-        for ip in [10u32, 11, 12] {
-            let expect_times: Vec<SimTime> = entries
-                .iter()
-                .filter(in_window)
-                .filter(|e| e.origin.ip == ip)
-                .map(|e| e.at)
-                .collect();
-            assert_eq!(by_ip.get(&ip).cloned().unwrap_or_default(), expect_times);
-        }
-        assert_eq!(log.per_ip_times_naive(from, to), by_ip);
-
-        let by_session = log.per_session_in(from, to);
-        for session in 0u64..4 {
-            let expect_pairs: Vec<(usize, SimTime)> = entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| in_window(e) && e.origin.session == session)
-                .map(|(i, e)| (i, e.at))
-                .collect();
-            assert_eq!(
-                by_session.get(&session).cloned().unwrap_or_default(),
-                expect_pairs
-            );
-        }
-
-        assert_eq!(log.per_session_naive(from, to), by_session);
-
         // Degenerate windows.
         assert_eq!(log.count_in(to, from), 0);
-        assert!(log.per_ip_times_in(to, from).is_empty());
-        assert!(log.per_session_in(to, to).is_empty());
+        assert_eq!(log.count_in(to, to), 0);
         assert_eq!(log.count_naive(to, from), 0);
-        assert!(log.per_session_naive(to, to).is_empty());
     }
 
     /// Naive reference: full scan with predicate filtering.
@@ -1039,11 +857,10 @@ mod tests {
             }
         }
 
-        /// Access-log collation queries agree with a naive full scan over
-        /// random logs (duplicate timestamps, few/many IPs and sessions)
-        /// and random windows.
+        /// Access-log window queries agree with a naive full scan over
+        /// random logs (duplicate timestamps) and random windows.
         #[test]
-        fn access_collations_match_naive_scan(
+        fn access_window_queries_match_naive_scan(
             seg_cap in 1usize..9,
             steps in proptest::collection::vec((0u64..300, 0u32..4, 0u64..3), 0..160),
             ranges in proptest::collection::vec((0u64..400, 0u64..400), 1..10),
@@ -1068,24 +885,6 @@ mod tests {
                     .collect();
                 prop_assert_eq!(&got, &expect);
                 prop_assert_eq!(log.count_in(from, to), expect.len());
-
-                let by_ip = log.per_ip_times_in(from, to);
-                let mut expect_ip: std::collections::BTreeMap<u32, Vec<SimTime>> =
-                    std::collections::BTreeMap::new();
-                for e in &expect {
-                    expect_ip.entry(e.origin.ip).or_default().push(e.at);
-                }
-                prop_assert_eq!(by_ip, expect_ip);
-
-                let by_session = log.per_session_in(from, to);
-                let mut expect_session: std::collections::BTreeMap<u64, Vec<(usize, SimTime)>> =
-                    std::collections::BTreeMap::new();
-                for (i, e) in entries.iter().enumerate() {
-                    if e.at >= from && e.at < to {
-                        expect_session.entry(e.origin.session).or_default().push((i, e.at));
-                    }
-                }
-                prop_assert_eq!(by_session, expect_session);
             }
         }
     }

@@ -13,10 +13,6 @@
 pub struct Token {
     /// 1-based source line the token starts on.
     pub line: u32,
-    /// Byte offset of the token's first byte in the source.
-    pub start: u32,
-    /// Byte offset one past the token's last byte.
-    pub end: u32,
     /// The token's kind and payload.
     pub kind: TokenKind,
 }
@@ -144,8 +140,6 @@ pub fn lex(src: &str) -> Vec<Token> {
                     } else if ident_len > 0 {
                         out.push(Token {
                             line,
-                            start: i as u32,
-                            end: (i + 1 + ident_len) as u32,
                             kind: TokenKind::Lifetime,
                         });
                         i += 1 + ident_len;
@@ -172,8 +166,6 @@ pub fn lex(src: &str) -> Vec<Token> {
                     .map_or(1, |(o, ch)| o + ch.len_utf8());
                 out.push(Token {
                     line,
-                    start: i as u32,
-                    end: (i + len) as u32,
                     kind: TokenKind::Ident(rest[..len].to_string()),
                 });
                 i += len;
@@ -195,8 +187,6 @@ pub fn lex(src: &str) -> Vec<Token> {
                 }
                 out.push(Token {
                     line,
-                    start: i as u32,
-                    end: end as u32,
                     kind: TokenKind::Num,
                 });
                 i = end;
@@ -204,8 +194,6 @@ pub fn lex(src: &str) -> Vec<Token> {
             c => {
                 out.push(Token {
                     line,
-                    start: i as u32,
-                    end: (i + c.len_utf8()) as u32,
                     kind: TokenKind::Punct(c),
                 });
                 i += c.len_utf8();
@@ -229,7 +217,8 @@ fn starts_raw_string(bytes: &[u8], i: usize) -> bool {
 }
 
 /// Skips a `"..."` string starting at the opening quote index; returns the
-/// index one past the closing quote.
+/// index one past the closing quote, or the source length if the string is
+/// unterminated (a trailing `\` must not step past the end).
 fn skip_string(bytes: &[u8], start: usize) -> usize {
     let mut i = start + 1;
     while i < bytes.len() {
@@ -239,7 +228,7 @@ fn skip_string(bytes: &[u8], start: usize) -> usize {
             _ => i += 1,
         }
     }
-    i
+    i.min(bytes.len())
 }
 
 /// Skips a raw string `r##"..."##` starting at `r`/`b`; returns the index
@@ -296,6 +285,14 @@ let x = "std::time::Instant";
 let y = foo; // trailing
 "#;
         assert_eq!(idents(src), ["let", "x", "let", "y", "foo"]);
+    }
+
+    #[test]
+    fn unterminated_string_ending_in_a_backslash() {
+        // The escape skip must stop at the end of the source.
+        let toks = lex("fn \"\\");
+        assert_eq!(toks.len(), 1);
+        assert!(toks[0].is_ident("fn"));
     }
 
     #[test]

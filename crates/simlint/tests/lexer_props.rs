@@ -1,9 +1,16 @@
 //! Property tests for the hand-rolled lexer: arbitrary input never panics,
-//! and the byte spans it reports are well-formed — in bounds, in order,
-//! non-overlapping, and consistent with the reported line numbers.
+//! and the line numbers it reports are ordered, in bounds and consistent
+//! with the token payloads.
 
 use proptest::prelude::*;
 use simlint::lexer::{lex, TokenKind};
+
+/// Fragments of Rust-like source, joined at random by the line property:
+/// byte soup almost never forms a comment, string or raw string that spans
+/// lines, and these do.
+const PIECES: [&str; 16] = [
+    "fn", "x_1", " ", "\n", "/*", "*/", "//", "\"", "\\", "'", "'a", "r#\"", "\"#", "0.5", ".", "é",
+];
 
 proptest! {
     /// The lexer (and the full lint pipeline on top of it, over a one-file
@@ -21,39 +28,28 @@ proptest! {
         let _ = simlint::lint_model(&model);
     }
 
-    /// Spans are strictly ordered and non-overlapping, stay inside the
-    /// source, land on valid UTF-8 boundaries, and agree with both the
-    /// token payload and the reported 1-based line number.
+    /// Token lines are non-decreasing and within the source's line count,
+    /// and every identifier and punctuation token occurs on the line it
+    /// reports.
     #[test]
-    fn spans_are_ordered_in_bounds_and_line_consistent(
-        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+    fn token_lines_are_ordered_and_in_bounds(
+        pieces in proptest::collection::vec(0..PIECES.len(), 0..200),
     ) {
-        let src = String::from_utf8_lossy(&bytes).into_owned();
-        let tokens = lex(&src);
-        let mut prev_end = 0u32;
+        let src: String = pieces.into_iter().map(|p| PIECES[p]).collect();
+        let lines: Vec<&str> = src.split('\n').collect();
         let mut prev_line = 1u32;
-        for tok in &tokens {
-            prop_assert!(tok.start < tok.end, "empty span {}..{}", tok.start, tok.end);
-            prop_assert!(tok.start >= prev_end, "overlap: {} < {}", tok.start, prev_end);
-            prop_assert!((tok.end as usize) <= src.len(), "span past EOF");
-            prop_assert!(src.is_char_boundary(tok.start as usize));
-            prop_assert!(src.is_char_boundary(tok.end as usize));
-            let text = &src[tok.start as usize..tok.end as usize];
-            match &tok.kind {
-                TokenKind::Ident(name) => prop_assert_eq!(text, name.as_str()),
-                TokenKind::Punct(c) => {
-                    let s = c.to_string();
-                    prop_assert_eq!(text, s.as_str());
-                }
-                TokenKind::Num | TokenKind::Lifetime => prop_assert!(!text.is_empty()),
-            }
-            let line = 1 + src[..tok.start as usize]
-                .bytes()
-                .filter(|&b| b == b'\n')
-                .count() as u32;
-            prop_assert_eq!(tok.line, line, "line mismatch for {:?}", tok);
+        for tok in lex(&src) {
             prop_assert!(tok.line >= prev_line, "lines must be non-decreasing");
-            prev_end = tok.end;
+            prop_assert!(tok.line as usize <= lines.len(), "line past EOF: {:?}", tok);
+            let text = match &tok.kind {
+                TokenKind::Ident(name) => name.clone(),
+                TokenKind::Punct(c) => c.to_string(),
+                TokenKind::Num | TokenKind::Lifetime => String::new(),
+            };
+            prop_assert!(
+                lines[tok.line as usize - 1].contains(&text),
+                "{:?} is not on its line", tok
+            );
             prev_line = tok.line;
         }
     }

@@ -21,7 +21,8 @@
 //!
 //! Each sealed segment carries an index `I` built once, at seal time, from
 //! the segment's items ([`SegIndex::build`]): posting lists for the request
-//! and access logs, a sorted copy for exact percentiles. The index is a
+//! log, a time range for the access log, a sorted copy for exact
+//! percentiles. The index is a
 //! pure function of the items and is shared with the segment it describes;
 //! `()` builds nothing.
 //!

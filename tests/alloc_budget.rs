@@ -4,14 +4,15 @@
 //! This is the workspace's allocation guard. It installs a counting global
 //! allocator, warms each cell up, then counts the allocations made while it
 //! simulates a measured window and divides by the requests resolved in that
-//! window. Three cells cover the paths a request can take: plain
+//! window. Four cells cover the paths a request can take: plain
 //! closed-loop traffic with an open-loop `FixedRate` probe (whose latency
 //! journal is a `SegSamples`), the resilience layer (deadlines, retries,
-//! backoff, circuit breakers) and a Grunt attack's bursts. An allocation
-//! injected into any of the kernel's per-event entry points (event
-//! dispatch and admission, the event queue, the segmented logs and sample
-//! journals, the think-timer arena, the closed-loop population, deadline
-//! arming and the failure path) fails one of these budgets.
+//! backoff, circuit breakers), a Grunt attack's bursts, and the same attack
+//! against bounded wait queues (load shedding). An allocation injected into
+//! any of the kernel's per-event entry points (event dispatch and
+//! admission, the event queue, the segmented logs and sample journals, the
+//! think-timer arena, the closed-loop population, deadline arming, the
+//! failure path and shedding) fails one of these budgets.
 //!
 //! What the budget does not see:
 //!
@@ -19,9 +20,8 @@
 //!   fresh segment and builds its index once per `seg_cap` pushes, by
 //!   design, which amortizes to a few hundredths of an allocation per
 //!   request;
-//! * scale-up, drain rerouting and load shedding: no cell runs them (a
-//!   `queue_bound` anywhere from `Some(1)` to `Some(8)` shed nothing on
-//!   the plain cell), so an allocation on those paths goes uncounted.
+//! * scale-up and drain rerouting: no cell runs them, so an allocation on
+//!   those paths goes uncounted.
 //!
 //! It is its own test binary so the allocator counts nothing but this
 //! file's tests; the counter is per thread, so tests running side by side
@@ -91,6 +91,8 @@ const WARMUP: SimTime = SimTime::from_secs(10);
 const WINDOW: SimDuration = SimDuration::from_secs(40);
 /// The resilience cell's per-attempt deadline.
 const DEADLINE_MS: u64 = 60;
+/// The shedding cell's bound on each replica's wait queue.
+const QUEUE_BOUND: u32 = 4;
 
 /// A SocialNetwork cell of [`USERS`] closed-loop users, not yet warm.
 fn cell(config: SimConfig, user_retry: f64) -> Simulation {
@@ -128,7 +130,9 @@ fn allocs_per_request(sim: &mut Simulation, f: impl FnOnce(&mut Simulation)) -> 
 /// per-burst allocation fails while a changed segment size does not.
 /// Measured on these cells: 0.036 allocations per request plain, 0.035 with
 /// resilience on, 0.17 under attack (the Commander's per-burst bookkeeping:
-/// bot origins and each burst's token list).
+/// bot origins and each burst's token list) and 0.071 under attack with
+/// bounded queues (the same bookkeeping over more requests, since shed
+/// attempts resolve at once).
 fn assert_within(cell: &str, (per_request, requests): (f64, usize), budget: f64) {
     assert!(
         per_request <= budget,
@@ -188,11 +192,10 @@ fn resilience_paths_stay_within_budget() {
     assert_within("resilience", measured, 0.1);
 }
 
-#[test]
-fn a_grunt_attack_stays_within_budget() {
-    let mut sim = warm_cell(SimConfig::default(), 0.0);
+/// Profiles the warm cell and returns a [`WINDOW`] of Grunt attack on it.
+fn profiled(sim: &mut Simulation) -> impl FnOnce(&mut Simulation) {
     let profile = GruntCampaign::profile(
-        &mut sim,
+        sim,
         ProfilerConfig {
             seed: SEED,
             ..ProfilerConfig::default()
@@ -202,8 +205,32 @@ fn a_grunt_attack_stays_within_budget() {
         seed: SEED,
         ..CommanderConfig::default()
     };
-    let measured = allocs_per_request(&mut sim, |s| {
+    move |s| {
         GruntCampaign::attack_with(s, profile, commander, WINDOW);
+    }
+}
+
+#[test]
+fn a_grunt_attack_stays_within_budget() {
+    let mut sim = warm_cell(SimConfig::default(), 0.0);
+    let attack = profiled(&mut sim);
+    assert_within("attack", allocs_per_request(&mut sim, attack), 0.5);
+}
+
+#[test]
+fn shedding_under_a_grunt_attack_stays_within_budget() {
+    // Bounded wait queues and no other resilience setting: the attack's
+    // bursts overflow them, so the window runs the shed path, which no
+    // other cell reaches.
+    let policy = ResilienceConfig::uniform(ResiliencePolicy {
+        queue_bound: Some(QUEUE_BOUND),
+        ..ResiliencePolicy::disabled()
     });
-    assert_within("attack", measured, 0.5);
+    let mut sim = warm_cell(SimConfig::default().resilience(policy), 0.0);
+    let attack = profiled(&mut sim);
+    let before = sim.metrics().resilience().shed;
+    let measured = allocs_per_request(&mut sim, attack);
+    let shed = sim.metrics().resilience().shed - before;
+    assert!(shed > 0, "the window must shed requests");
+    assert_within("shedding", measured, 0.2);
 }
