@@ -1,8 +1,8 @@
 //! The single-path Tail-attack baseline.
 
 use callgraph::RequestTypeId;
-use microsim::{Agent, Origin, Response, SimCtx};
-use simnet::{SegSamples, SimDuration, SimTime};
+use microsim::{Agent, Origin, SimCtx};
+use simnet::{SimDuration, SimTime};
 
 /// Parameters of the single-path ON/OFF attack.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,13 +39,12 @@ impl TailAttackConfig {
 ///
 /// Sends pulses of `burst_volume` requests of one type, spaced by
 /// `interval` — the waveform of the Tail attack, which Grunt generalises
-/// to multiple alternating paths. Collects its own request latencies so
-/// experiments can read the attacker-observed damage.
+/// to multiple alternating paths. Experiments read the damage from the
+/// request log, not from the agent.
 #[derive(Debug, Clone)]
 pub struct TailAttack {
     cfg: TailAttackConfig,
     sent: u64,
-    latencies_ms: SegSamples,
     chunk_remaining: u32,
     next_bot: u32,
 }
@@ -65,7 +64,6 @@ impl TailAttack {
         TailAttack {
             cfg,
             sent: 0,
-            latencies_ms: SegSamples::new(),
             chunk_remaining: 0,
             next_bot: 0,
         }
@@ -74,11 +72,6 @@ impl TailAttack {
     /// Total attack requests sent.
     pub fn requests_sent(&self) -> u64 {
         self.sent
-    }
-
-    /// Latencies of the attack's own requests (ms).
-    pub fn latencies_ms(&self) -> &SegSamples {
-        &self.latencies_ms
     }
 
     fn submit_chunk(&mut self, ctx: &mut SimCtx<'_>) {
@@ -121,10 +114,6 @@ impl Agent for TailAttack {
         self.chunk_remaining = self.cfg.burst_volume;
         self.submit_chunk(ctx);
         ctx.schedule_wake(self.cfg.burst_length + self.cfg.interval, WAKE_BURST);
-    }
-
-    fn on_response(&mut self, _ctx: &mut SimCtx<'_>, response: &Response) {
-        self.latencies_ms.push(response.latency_ms());
     }
 }
 

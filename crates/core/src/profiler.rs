@@ -467,14 +467,14 @@ impl Profiler {
 
     fn finish_baseline(&mut self) {
         for (rt, _) in &self.catalog {
-            let mut samples = self.baseline_samples.remove(rt).unwrap_or_default();
+            let samples = self.baseline_samples.remove(rt).unwrap_or_default();
             let median = if samples.is_empty() {
                 // Nothing came back within the probing window: the path is
                 // effectively unusable; treat as very slow.
                 5_000.0
             } else {
-                // Upper median, identical to the old full-sort-and-index
-                // (`sorted[len / 2]`) but via the COW store's k-way merge.
+                // Upper median: the sample a full sort would put at
+                // `sorted[len / 2]`, selected from a copy.
                 samples.nth_smallest(samples.len() / 2)
             };
             self.baseline_ms.insert(*rt, median);

@@ -104,7 +104,7 @@ fn probe_once(
     sim.run_until(SimTime::from_secs(10));
     let id = sim.add_agent(Box::new(PairProbe::new(attacker, victim, volume)));
     sim.run_until(SimTime::from_secs(18));
-    let probe: &mut PairProbe = sim.agent_as_mut(id).expect("registered");
+    let probe: &PairProbe = sim.agent_as(id).expect("registered");
     if probe.probe_rts.is_empty() {
         f64::NAN
     } else {

@@ -92,11 +92,6 @@ impl FixedRate {
     pub fn latencies_ms(&self) -> &SegSamples {
         &self.latencies_ms
     }
-
-    /// Mutable access (for percentile queries, which sort lazily).
-    pub fn latencies_ms_mut(&mut self) -> &mut SegSamples {
-        &mut self.latencies_ms
-    }
 }
 
 impl Agent for FixedRate {

@@ -81,6 +81,6 @@ pub use config::{
 pub use counters::Counters;
 pub use job::{Origin, Outcome, Response};
 pub use metrics::{AccessLogEntry, Metrics, RequestRecord, ResilienceCounters, ServiceWindow};
-pub use seglog::{AccessIndex, AccessLog, RequestFilter, RequestIndex, RequestLog, WindowLog};
+pub use seglog::{AccessLog, RequestFilter, RequestIndex, RequestLog, WindowLog};
 pub use sim::Simulation;
 pub use snapshot::SimSnapshot;

@@ -19,7 +19,7 @@ use std::ops::Deref;
 
 use callgraph::RequestTypeId;
 use serde::{DeError, Deserialize, Serialize, Value};
-use simnet::{SegIndex, SegLog, SegLogIter, Segment, SimTime};
+use simnet::{SegIndex, SegLog, SegLogIter, SimTime};
 
 use crate::job::Outcome;
 use crate::metrics::{AccessLogEntry, NetworkWindow, RequestRecord, ServiceWindow};
@@ -97,10 +97,6 @@ impl Csr {
 /// and shared between clones exactly like the segment it describes.
 #[derive(Debug, Clone)]
 pub struct RequestIndex {
-    /// Completion time of the segment's first record.
-    first: SimTime,
-    /// Completion time of the segment's last record.
-    last: SimTime,
     /// Offsets keyed by `request_type.index()`.
     by_type: Csr,
     /// Offsets keyed by `origin.is_attack` (0 = legit, 1 = attack).
@@ -114,8 +110,6 @@ pub struct RequestIndex {
 impl SegIndex<RequestRecord> for RequestIndex {
     fn build(records: &[RequestRecord]) -> RequestIndex {
         RequestIndex {
-            first: records.first().map_or(SimTime::ZERO, |r| r.completed_at),
-            last: records.last().map_or(SimTime::ZERO, |r| r.completed_at),
             by_type: Csr::build(records, |r| r.request_type.index()),
             by_origin: Csr::build(records, |r| usize::from(r.origin.is_attack)),
             by_type_origin: Csr::build(records, |r| {
@@ -185,8 +179,10 @@ impl RequestLog {
 
     /// Number of records completed in `[from, to)` that pass `filter`.
     ///
-    /// O(log) per sealed segment via the posting-list index; only the tail
-    /// (bounded by the segment capacity) is scanned.
+    /// O(log) per sealed segment overlapping the window via the
+    /// posting-list index, after one binary search past the segments
+    /// before it; only the tail (bounded by the segment capacity) is
+    /// scanned.
     pub fn count_matching(&self, from: SimTime, to: SimTime, filter: RequestFilter) -> usize {
         let mut n = 0;
         self.query(from, to, filter, |matched| n += matched.len());
@@ -226,16 +222,17 @@ impl RequestLog {
         if to <= from {
             return;
         }
-        for seg in self.0.sealed() {
-            let index = seg.index();
-            if index.last < from {
-                continue;
-            }
-            if index.first >= to {
+        // Segments are chronological, so those whose last record completed
+        // before `from` form a prefix: skip it by binary search.
+        let sealed = self.0.sealed();
+        let skip =
+            sealed.partition_point(|seg| seg.items().last().is_some_and(|r| r.completed_at < from));
+        for seg in &sealed[skip..] {
+            let recs = seg.items();
+            if recs[0].completed_at >= to {
                 break; // segments are chronological: nothing later matches
             }
-            let recs = seg.items();
-            match index.plan(filter) {
+            match seg.index().plan(filter) {
                 (None, _) => {
                     let lo = recs.partition_point(|r| r.completed_at < from);
                     let hi = recs.partition_point(|r| r.completed_at < to);
@@ -305,39 +302,19 @@ impl Matched<'_> {
     }
 }
 
-/// Per-segment index of the [`AccessLog`]: the segment's time range, so
-/// a window query skips whole segments without touching their entries.
-#[derive(Debug, Clone)]
-pub struct AccessIndex {
-    /// Submission time of the segment's first entry.
-    first: SimTime,
-    /// Submission time of the segment's last entry.
-    last: SimTime,
-}
-
-impl SegIndex<AccessLogEntry> for AccessIndex {
-    fn build(entries: &[AccessLogEntry]) -> AccessIndex {
-        AccessIndex {
-            first: entries.first().map_or(SimTime::ZERO, |e| e.at),
-            last: entries.last().map_or(SimTime::ZERO, |e| e.at),
-        }
-    }
-}
-
-/// The access log: a [`SegLog`] of [`AccessLogEntry`]s (one per submitted
-/// request) whose segments each carry an [`AccessIndex`] of their time
-/// range, so a window query ([`AccessLog::for_each_in`],
-/// [`AccessLog::count_in`]) binary-searches only the segments overlapping
-/// the window instead of scanning the whole run. The log indexes time
-/// only: defense analytics (`defense::Ids`, `defense::RateShield`) group
-/// one window's entries by IP or session with a single sort. Derefs to the
-/// underlying [`SegLog`] for plain reads.
+/// The access log: a plain [`SegLog`] of [`AccessLogEntry`]s, one per
+/// submitted request. Derefs to the underlying [`SegLog`] for plain reads.
 ///
 /// Entries are appended at submission time, and submissions happen in
 /// event order, so the log is sorted by `at` — asserted on push in debug
-/// builds; every binary search here relies on it.
+/// builds. That order is the log's only index: a sealed segment's first
+/// and last entries bound its time range, so a window query
+/// ([`AccessLog::for_each_in`], [`AccessLog::count_in`]) skips the
+/// segments outside the window and binary-searches the rest. Defense
+/// analytics (`defense::Ids`, `defense::RateShield`) group one window's
+/// entries by IP or session with a single sort.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct AccessLog(SegLog<AccessLogEntry, AccessIndex>);
+pub struct AccessLog(SegLog<AccessLogEntry>);
 
 impl AccessLog {
     /// Creates an empty log sealing every `seg_cap` entries (small caps are
@@ -357,46 +334,18 @@ impl AccessLog {
     }
 
     /// Calls `f` for every entry submitted in `[from, to)`, in submission
-    /// order. O(log) per segment to locate the run, O(matching) to visit.
+    /// order. O(log) per overlapping segment to locate the run, O(matching)
+    /// to visit.
     pub fn for_each_in(&self, from: SimTime, to: SimTime, mut f: impl FnMut(&AccessLogEntry)) {
-        if to <= from {
-            return;
+        for run in self.runs_in(from, to) {
+            run.iter().for_each(&mut f);
         }
-        for seg in self.0.sealed() {
-            let index = seg.index();
-            if index.last < from {
-                continue;
-            }
-            if index.first >= to {
-                return; // segments are chronological: nothing later matches
-            }
-            let recs = seg.items();
-            let lo = recs.partition_point(|e| e.at < from);
-            let hi = recs.partition_point(|e| e.at < to);
-            recs[lo..hi].iter().for_each(&mut f);
-        }
-        let tail = self.0.tail();
-        let lo = tail.partition_point(|e| e.at < from);
-        let hi = tail.partition_point(|e| e.at < to);
-        tail[lo..hi].iter().for_each(&mut f);
     }
 
-    /// Number of entries submitted in `[from, to)`. O(log) per segment.
+    /// Number of entries submitted in `[from, to)`. O(log) per overlapping
+    /// segment.
     pub fn count_in(&self, from: SimTime, to: SimTime) -> usize {
-        if to <= from {
-            return 0;
-        }
-        let mut n = 0;
-        for seg in self.overlapping(from, to) {
-            let recs = seg.items();
-            let lo = recs.partition_point(|e| e.at < from);
-            let hi = recs.partition_point(|e| e.at < to);
-            n += hi - lo;
-        }
-        let tail = self.0.tail();
-        let lo = tail.partition_point(|e| e.at < from);
-        let hi = tail.partition_point(|e| e.at < to);
-        n + (hi - lo)
+        self.runs_in(from, to).map(<[_]>::len).sum()
     }
 
     /// Full-scan twin of [`AccessLog::for_each_in`]: walks every entry and
@@ -420,23 +369,29 @@ impl AccessLog {
         n
     }
 
-    /// The sealed segments whose time range overlaps `[from, to)`, in
-    /// chronological order.
-    fn overlapping(
-        &self,
-        from: SimTime,
-        to: SimTime,
-    ) -> impl Iterator<Item = &Segment<AccessLogEntry, AccessIndex>> {
-        self.0
-            .sealed()
+    /// The entries submitted in `[from, to)` as one slice per storage slab
+    /// (sealed segments, then the tail), in submission order. The sealed
+    /// segments that end before `from` form a prefix, skipped by binary
+    /// search; the walk stops at the first slab that starts at or after
+    /// `to`. An empty or inverted window yields nothing.
+    fn runs_in(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &[AccessLogEntry]> {
+        let sealed = self.0.sealed();
+        let skip = sealed.partition_point(|seg| seg.items().last().is_some_and(|e| e.at < from));
+        sealed[skip..]
             .iter()
-            .map(|seg| &**seg)
-            .filter(move |seg| from <= seg.index().last && seg.index().first < to)
+            .map(|seg| seg.items())
+            .chain(std::iter::once(self.0.tail()))
+            .take_while(move |slab| from < to && slab.first().is_some_and(|e| e.at < to))
+            .map(move |slab| {
+                let lo = slab.partition_point(|e| e.at < from);
+                let hi = slab.partition_point(|e| e.at < to);
+                &slab[lo..hi]
+            })
     }
 }
 
 impl Deref for AccessLog {
-    type Target = SegLog<AccessLogEntry, AccessIndex>;
+    type Target = SegLog<AccessLogEntry>;
 
     fn deref(&self) -> &Self::Target {
         &self.0
@@ -445,7 +400,7 @@ impl Deref for AccessLog {
 
 impl<'a> IntoIterator for &'a AccessLog {
     type Item = &'a AccessLogEntry;
-    type IntoIter = SegLogIter<'a, AccessLogEntry, AccessIndex>;
+    type IntoIter = SegLogIter<'a, AccessLogEntry>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.0.iter()

@@ -195,13 +195,6 @@ impl Simulation {
         let agent = self.agents.get(id.index())?.as_deref()?;
         (agent as &dyn std::any::Any).downcast_ref::<T>()
     }
-
-    /// Mutable variant of [`Simulation::agent_as`] (needed for lazy
-    /// percentile queries on collected samples).
-    pub fn agent_as_mut<T: Agent>(&mut self, id: AgentId) -> Option<&mut T> {
-        let agent = self.agents.get_mut(id.index())?.as_deref_mut()?;
-        (agent as &mut dyn std::any::Any).downcast_mut::<T>()
-    }
 }
 
 impl std::fmt::Debug for Simulation {

@@ -10,7 +10,7 @@ use microsim::{
     Simulation,
 };
 use proptest::prelude::*;
-use simnet::{SimDuration, SimTime};
+use simnet::{SegSamples, SimDuration, SimTime};
 use workload::{BrowsingModel, ClosedLoopUsers};
 
 /// A random small application: 2-5 services, 1-3 chain request types.
@@ -228,34 +228,28 @@ proptest! {
         let snapshot = sim.checkpoint().expect("FixedRate supports snapshotting");
         let mut fork = Simulation::from_snapshot(&snapshot);
 
-        let stats = |s: &Simulation| {
-            let lat = s
-                .agent_as::<FixedRate>(id)
+        let latencies = |s: &Simulation| {
+            s.agent_as::<FixedRate>(id)
                 .expect("agent survives the fork")
-                .latencies_ms();
-            (lat.len(), lat.mean().to_bits(), lat.max().to_bits())
+                .latencies_ms()
+                .clone()
         };
-        let at_t1 = stats(&sim);
-        prop_assert!(at_t1.0 > 1024, "want a sealed segment, got {} samples", at_t1.0);
-        prop_assert_eq!(stats(&fork), at_t1);
-        let p99 = |s: &mut Simulation| {
-            s.agent_as_mut::<FixedRate>(id)
-                .expect("agent survives the fork")
-                .latencies_ms_mut()
-                .percentile(0.99)
-                .to_bits()
-        };
-        prop_assert_eq!(p99(&mut fork), p99(&mut sim));
+        let bits = |lat: &SegSamples| lat.iter().map(f64::to_bits).collect::<Vec<_>>();
+        let at_t1 = bits(&latencies(&sim));
+        prop_assert!(at_t1.len() > 1024, "want a sealed segment, got {} samples", at_t1.len());
+        prop_assert_eq!(bits(&latencies(&fork)), at_t1.clone());
+        let p99 = |s: &Simulation| latencies(s).percentile(0.99).to_bits();
+        prop_assert_eq!(p99(&fork), p99(&sim));
 
         // Running only the original leaves the fork's store untouched.
         sim.run_until(t2);
-        prop_assert_eq!(stats(&fork), at_t1);
-        prop_assert!(stats(&sim).0 > at_t1.0, "original kept recording");
+        prop_assert_eq!(bits(&latencies(&fork)), at_t1.clone());
+        prop_assert!(latencies(&sim).len() > at_t1.len(), "original kept recording");
 
-        // Catching the fork up re-converges every statistic bit-for-bit.
+        // Catching the fork up re-converges every sample bit-for-bit.
         fork.run_until(t2);
-        prop_assert_eq!(stats(&fork), stats(&sim));
-        prop_assert_eq!(p99(&mut fork), p99(&mut sim));
+        prop_assert_eq!(bits(&latencies(&fork)), bits(&latencies(&sim)));
+        prop_assert_eq!(p99(&fork), p99(&sim));
     }
 
     /// Resilience state is part of the snapshot: with random deadlines,

@@ -41,5 +41,5 @@ pub use alias::AliasTable;
 pub use event::{EventQueue, HeapEventQueue};
 pub use rng::{derive_seed, exp_from_unit, lognormal_mean_cv_from_z, RngStream};
 pub use seglog::{SegIndex, SegLog, SegLogIter, Segment, SEG_CAP};
-pub use stats::{nearest_rank, SampleSet, SegSamples, SortedRun, Welford};
+pub use stats::{nearest_rank, select_percentiles, SegSamples, Welford};
 pub use time::{SimDuration, SimTime};

@@ -210,11 +210,6 @@ impl RngStream {
         }
     }
 
-    /// Returns the next raw 64 random bits (for deriving further seeds).
-    pub fn next_seed(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
     /// A fingerprint of the stream's current position, without advancing it.
     ///
     /// Two streams with equal fingerprints will produce identical draw

@@ -19,12 +19,12 @@
 //! were pushed — a forked run and a cold run that record the same history
 //! produce structurally identical logs.
 //!
-//! Each sealed segment carries an index `I` built once, at seal time, from
-//! the segment's items ([`SegIndex::build`]): posting lists for the request
-//! log, a time range for the access log, a sorted copy for exact
-//! percentiles. The index is a
-//! pure function of the items and is shared with the segment it describes;
-//! `()` builds nothing.
+//! Each sealed segment may carry an index `I` built once, at seal time,
+//! from the segment's items ([`SegIndex::build`]); the request log keeps
+//! its posting lists there. The index is a pure function of the items and
+//! is shared with the segment it describes; `()`, the default, builds
+//! nothing. A log sorted by time needs no index to skip segments: a
+//! sealed segment's first and last items already bound it.
 //!
 //! **COW invariants.** A sealed segment is never mutated: appends go to the
 //! tail only, and sealing moves the tail into a *new* `Arc`. Two clones can

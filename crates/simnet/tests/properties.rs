@@ -5,14 +5,60 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use simnet::{
-    derive_seed, nearest_rank, EventQueue, HeapEventQueue, RngStream, SampleSet, SegIndex, SegLog,
-    SegSamples, SimDuration, SimTime, SortedRun, Welford,
+    derive_seed, nearest_rank, select_percentiles, EventQueue, HeapEventQueue, RngStream, SegIndex,
+    SegLog, SegSamples, SimDuration, SimTime, Welford,
 };
+
+/// The percentile oracle: `xs` stably sorted ascending.
+fn sorted(xs: &[f64]) -> Vec<f64> {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+    sorted
+}
+
+/// A test-local seal-time index: the segment's items, sorted. Lets
+/// [`check_seg_log`] see that each index is built once, from exactly its
+/// segment's items.
+#[derive(Debug, Clone, PartialEq)]
+struct SortedCopy(Vec<f64>);
+
+impl SegIndex<f64> for SortedCopy {
+    fn build(items: &[f64]) -> Self {
+        SortedCopy(sorted(items))
+    }
+}
+
+/// Checks a `SegSamples` store against its insertion-order model: the
+/// samples, every rank of `nth_smallest`, and `percentile` at `qs` plus 0
+/// and 1, each bit-identical to the sorted copy.
+fn check_seg_samples(s: &SegSamples, model: &[f64], qs: &[f64]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(s.len(), model.len());
+    prop_assert_eq!(s.is_empty(), model.is_empty());
+    prop_assert_eq!(s.iter().collect::<Vec<_>>(), model.to_vec());
+    let oracle = sorted(model);
+    for (rank, want) in oracle.iter().enumerate() {
+        prop_assert_eq!(
+            s.nth_smallest(rank).to_bits(),
+            want.to_bits(),
+            "rank={}",
+            rank
+        );
+    }
+    for &q in qs.iter().chain(&[0.0, 1.0]) {
+        let want = if model.is_empty() {
+            0.0
+        } else {
+            oracle[nearest_rank(model.len(), q)]
+        };
+        prop_assert_eq!(s.percentile(q).to_bits(), want.to_bits(), "q={}", q);
+    }
+    Ok(())
+}
 
 /// Checks a segmented log against its flat `Vec` model: length, layout
 /// (full sealed segments plus the tail), every read path, and every sealed
 /// segment's seal-time index against a fresh build over its items.
-fn check_seg_log(log: &SegLog<f64, SortedRun>, model: &[f64]) -> Result<(), TestCaseError> {
+fn check_seg_log(log: &SegLog<f64, SortedCopy>, model: &[f64]) -> Result<(), TestCaseError> {
     let cap = log.seg_cap();
     prop_assert_eq!(log.len(), model.len());
     prop_assert_eq!(log.is_empty(), model.is_empty());
@@ -28,7 +74,7 @@ fn check_seg_log(log: &SegLog<f64, SortedRun>, model: &[f64]) -> Result<(), Test
     prop_assert_eq!(log.last(), model.last());
     for seg in log.sealed() {
         prop_assert_eq!(seg.items().len(), cap);
-        prop_assert_eq!(seg.index(), &SortedRun::build(seg.items()));
+        prop_assert_eq!(seg.index(), &SortedCopy::build(seg.items()));
     }
     Ok(())
 }
@@ -199,11 +245,8 @@ proptest! {
     /// Percentiles are monotone in the quantile and bounded by min/max.
     #[test]
     fn percentiles_are_monotone(xs in prop::collection::vec(-1e9f64..1e9, 1..300)) {
-        let mut s: SampleSet = xs.iter().copied().collect();
-        let lo = s.percentile(0.0);
-        let p50 = s.percentile(0.5);
-        let p95 = s.percentile(0.95);
-        let hi = s.percentile(1.0);
+        let one = |q: f64| select_percentiles(&mut xs.clone(), [q])[0];
+        let (lo, p50, p95, hi) = (one(0.0), one(0.5), one(0.95), one(1.0));
         prop_assert!(lo <= p50 && p50 <= p95 && p95 <= hi);
         let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
         let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -211,8 +254,8 @@ proptest! {
         prop_assert_eq!(hi, max);
     }
 
-    /// Selection against a sort: `percentiles(qs)` and successive
-    /// `percentile(q)` calls (ascending, then descending, on the same
+    /// Selection against a sort: `select_percentiles(qs)` and successive
+    /// single-quantile calls (ascending, then descending, on the same
     /// permuted buffer) return, bit for bit, the nearest-rank element of a
     /// stably sorted copy. Samples mix a small duplicate-heavy grid
     /// (negative, zero, positive) with wide values; `qs` always include 0
@@ -226,65 +269,42 @@ proptest! {
         ),
         mid in prop::collection::vec((0u32..=100).prop_map(|i| f64::from(i) / 100.0), 4..5),
     ) {
-        let mut sorted = xs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+        let oracle = sorted(&xs);
         let mut inner = mid.clone();
         inner.sort_by(|a, b| a.partial_cmp(b).expect("NaN quantile"));
         let qs = [0.0, inner[0], inner[1], inner[2], inner[3], 1.0];
-        let expect = qs.map(|q| sorted[nearest_rank(sorted.len(), q)].to_bits());
+        let expect = qs.map(|q| oracle[nearest_rank(oracle.len(), q)].to_bits());
 
-        let mut batch: SampleSet = xs.iter().copied().collect();
-        prop_assert_eq!(batch.percentiles(qs).map(f64::to_bits), expect);
-        prop_assert_eq!(batch.len(), xs.len());
+        let mut batch = xs.clone();
+        prop_assert_eq!(select_percentiles(&mut batch, qs).map(f64::to_bits), expect);
+        prop_assert_eq!(sorted(&batch), oracle.clone());
 
-        let mut single: SampleSet = xs.iter().copied().collect();
+        let mut single = xs.clone();
         for (q, want) in qs.iter().zip(expect).chain(qs.iter().zip(expect).rev()) {
-            prop_assert_eq!(single.percentile(*q).to_bits(), want, "q={}", q);
+            prop_assert_eq!(select_percentiles(&mut single, [*q])[0].to_bits(), want, "q={}", q);
         }
     }
 
-    /// Differential test: the segmented COW store and the flat reference
-    /// collector return bit-identical statistics for arbitrary push/merge
-    /// programs, segment capacities, and quantiles.
+    /// The segmented COW store answers every rank and quantile with the
+    /// element of a stably sorted copy, for arbitrary samples, segment
+    /// capacities (so sealed segments plus any tail length) and quantiles.
     #[test]
-    fn seg_samples_matches_sample_set(
-        chunks in prop::collection::vec(prop::collection::vec(-1e9f64..1e9, 0..40), 1..12),
+    fn seg_samples_match_sorted_copy(
+        xs in prop::collection::vec(-1e9f64..1e9, 0..300),
         seg_cap in 1usize..9,
         qs in prop::collection::vec(0.0f64..1.0, 1..6),
     ) {
         let mut seg = SegSamples::with_seg_cap(seg_cap);
-        let mut flat = SampleSet::new();
-        for chunk in &chunks {
-            // Build each chunk as its own store and merge it in, so the
-            // program exercises merge across arbitrary seal phases, not
-            // just straight-line pushes.
-            let mut sc = SegSamples::with_seg_cap(seg_cap);
-            let mut fc = SampleSet::new();
-            for &x in chunk {
-                sc.push(x);
-                fc.push(x);
-            }
-            seg.merge(&sc);
-            flat.merge(&fc);
+        for &x in &xs {
+            seg.push(x);
         }
-        prop_assert_eq!(seg.len(), flat.len());
-        // Order-sensitive statistics must be compared before any percentile
-        // call: `SampleSet::percentile` sorts its samples in place, changing
-        // the f64 accumulation order of its mean, while `SegSamples::mean`
-        // always folds insertion order.
-        prop_assert_eq!(seg.mean(), flat.mean());
-        prop_assert_eq!(seg.max(), flat.max());
-        for &q in &qs {
-            prop_assert_eq!(seg.percentile(q), flat.percentile(q));
-        }
-        prop_assert_eq!(seg.percentile(0.0), flat.percentile(0.0));
-        prop_assert_eq!(seg.percentile(1.0), flat.percentile(1.0));
+        check_seg_samples(&seg, &xs, &qs)?;
     }
 
     /// A forked (cloned) store is fully isolated: pushes to the parent
     /// after the fork never leak into the fork, sealing in the parent
     /// leaves the shared spine of the fork untouched, and both sides keep
-    /// matching independent flat references.
+    /// matching their own sorted copies.
     #[test]
     fn seg_samples_fork_is_isolated(
         before in prop::collection::vec(-1e6f64..1e6, 0..60),
@@ -292,25 +312,16 @@ proptest! {
         seg_cap in 1usize..9,
     ) {
         let mut parent = SegSamples::with_seg_cap(seg_cap);
-        let mut flat_before = SampleSet::new();
         for &x in &before {
             parent.push(x);
-            flat_before.push(x);
         }
-        let mut fork = parent.clone();
-        let mut flat_after = flat_before.clone();
+        let fork = parent.clone();
         for &x in &after {
             parent.push(x);
-            flat_after.push(x);
         }
-        prop_assert_eq!(fork.len(), flat_before.len());
-        prop_assert_eq!(parent.len(), flat_after.len());
-        prop_assert_eq!(fork.mean(), flat_before.mean());
-        prop_assert_eq!(parent.mean(), flat_after.mean());
-        prop_assert_eq!(fork.percentile(0.5), flat_before.percentile(0.5));
-        prop_assert_eq!(parent.percentile(0.5), flat_after.percentile(0.5));
-        prop_assert_eq!(fork.percentile(1.0), flat_before.percentile(1.0));
-        prop_assert_eq!(parent.percentile(1.0), flat_after.percentile(1.0));
+        let all: Vec<f64> = before.iter().chain(&after).copied().collect();
+        check_seg_samples(&fork, &before, &[0.5, 0.95])?;
+        check_seg_samples(&parent, &all, &[0.5, 0.95])?;
     }
 
     /// The copy-on-write segmented log against a `Vec` model: push a
@@ -325,7 +336,7 @@ proptest! {
         fork_after in prop::collection::vec(-1e6f64..1e6, 0..40),
         seg_cap in 1usize..9,
     ) {
-        let mut parent: SegLog<f64, SortedRun> = SegLog::with_seg_cap(seg_cap);
+        let mut parent: SegLog<f64, SortedCopy> = SegLog::with_seg_cap(seg_cap);
         prop_assert!(parent.is_empty());
         prop_assert_eq!(parent.last(), None);
         let mut parent_model = Vec::new();
@@ -355,7 +366,7 @@ proptest! {
         let mut rebuilt = SegLog::with_seg_cap(seg_cap);
         rebuilt.extend(parent.iter().copied());
         prop_assert_eq!(&rebuilt, &parent);
-        let cold: SegLog<f64, SortedRun> = parent_model.iter().copied().collect();
+        let cold: SegLog<f64, SortedCopy> = parent_model.iter().copied().collect();
         prop_assert_eq!(&cold, &parent);
         fork.clear();
         prop_assert!(fork.is_empty());
@@ -370,9 +381,9 @@ proptest! {
         let mut a = RngStream::from_label(seed, "x");
         let mut b = RngStream::from_label(seed, "x");
         let mut c = RngStream::from_label(seed, "y");
-        let va: Vec<u64> = (0..8).map(|_| a.next_seed()).collect();
-        let vb: Vec<u64> = (0..8).map(|_| b.next_seed()).collect();
-        let vc: Vec<u64> = (0..8).map(|_| c.next_seed()).collect();
+        let va: Vec<u64> = (0..8).map(|_| a.unit().to_bits()).collect();
+        let vb: Vec<u64> = (0..8).map(|_| b.unit().to_bits()).collect();
+        let vc: Vec<u64> = (0..8).map(|_| c.unit().to_bits()).collect();
         prop_assert_eq!(&va, &vb);
         prop_assert_ne!(&va, &vc);
         prop_assert_ne!(derive_seed(seed, "x"), derive_seed(seed, "y"));

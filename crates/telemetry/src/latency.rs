@@ -2,7 +2,7 @@
 
 use callgraph::RequestTypeId;
 use microsim::{Metrics, RequestFilter, RequestRecord};
-use simnet::{nearest_rank, SampleSet, SimDuration, SimTime};
+use simnet::{nearest_rank, select_percentiles, SimDuration, SimTime};
 
 /// Which traffic class to include when analysing latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,16 +87,21 @@ impl LatencySummary {
                 max_ms: 0.0,
             };
         }
-        let mut set = SampleSet::with_capacity(n);
+        let mut samples = Vec::with_capacity(n);
         log.for_each_matching(from, to, filter, |rec| {
-            set.push(rec.latency().as_millis_f64());
+            samples.push(rec.latency().as_millis_f64());
         });
-        // `mean` sums in the samples' current order, so read it (and the
-        // rest) before `percentiles` permutes them.
-        let (count, avg_ms, max_ms) = (set.len(), set.mean(), set.max());
-        let [p95_ms, p99_ms] = set.percentiles([0.95, 0.99]);
+        // Sum and fold in completion order, before the selection below
+        // permutes the samples.
+        let avg_ms = samples.iter().sum::<f64>() / n as f64;
+        let max_ms = samples
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
+            .max(0.0);
+        let [p95_ms, p99_ms] = select_percentiles(&mut samples, [0.95, 0.99]);
         LatencySummary {
-            count,
+            count: n,
             avg_ms,
             p95_ms,
             p99_ms,
