@@ -56,12 +56,6 @@ impl BurstPlan {
     pub fn length(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.length_s)
     }
-
-    /// Scales the length by `factor`, keeping the rate (the Commander's
-    /// adaptation knob — `t_damage` and `P_MB` are linear in `L`).
-    pub fn scale_length(&self, factor: f64) -> BurstPlan {
-        BurstPlan::new(self.rate, (self.length_s * factor).max(0.0))
-    }
 }
 
 #[cfg(test)]
@@ -81,13 +75,6 @@ mod tests {
         assert_eq!(b.inter_request_gap(), SimDuration::from_millis(10));
         let single = BurstPlan::new(1.0, 0.5);
         assert_eq!(single.inter_request_gap(), SimDuration::from_millis(500));
-    }
-
-    #[test]
-    fn scale_length_keeps_rate() {
-        let b = BurstPlan::new(100.0, 0.4).scale_length(0.5);
-        assert_eq!(b.rate, 100.0);
-        assert!((b.length_s - 0.2).abs() < 1e-12);
     }
 
     #[test]

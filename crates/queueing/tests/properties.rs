@@ -150,7 +150,5 @@ proptest! {
             let total = b.inter_request_gap().as_secs_f64() * n as f64;
             prop_assert!((total - len).abs() < 0.01 * len.max(0.001), "gaps must tile L");
         }
-        let half = b.scale_length(0.5);
-        prop_assert!((half.volume() - b.volume() / 2.0).abs() < 1e-9);
     }
 }

@@ -153,18 +153,6 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Drops every pending event.
-    pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            slot.clear();
-        }
-        self.occupied = [0; LEVELS];
-        self.ready.clear();
-        self.overflow.clear();
-        self.cursor = 0;
-        self.len = 0;
-    }
-
     /// Files `entry` into the ready list, a wheel bucket, or the overflow
     /// list, according to its distance from the cursor.
     #[inline]
@@ -365,11 +353,6 @@ impl<E> HeapEventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drops every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 impl<E> Default for HeapEventQueue<E> {
@@ -413,16 +396,6 @@ mod tests {
         q.pop();
         assert_eq!(q.peek_time(), None);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn clear_empties_the_queue() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 1);
-        q.push(SimTime::ZERO, 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

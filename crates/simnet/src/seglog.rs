@@ -200,14 +200,6 @@ impl<T, I> SegLog<T, I> {
             .map(|s| s.items.as_slice())
             .chain(std::iter::once(self.tail.as_slice()))
     }
-
-    /// Removes all items.
-    pub fn clear(&mut self) {
-        // Fresh spine rather than `make_mut` + clear: forks sharing the old
-        // spine keep it untouched.
-        self.sealed = Arc::new(Vec::new());
-        self.tail.clear();
-    }
 }
 
 impl<T, I: SegIndex<T>> SegLog<T, I> {

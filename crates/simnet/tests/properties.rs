@@ -368,9 +368,6 @@ proptest! {
         prop_assert_eq!(&rebuilt, &parent);
         let cold: SegLog<f64, SortedCopy> = parent_model.iter().copied().collect();
         prop_assert_eq!(&cold, &parent);
-        fork.clear();
-        prop_assert!(fork.is_empty());
-        check_seg_log(&fork, &[])?;
         check_seg_log(&parent, &parent_model)?;
     }
 

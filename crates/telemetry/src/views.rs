@@ -209,15 +209,6 @@ impl<'a> FineMonitor<'a> {
             .map(|s| (s.start, s.queue_len()))
             .collect()
     }
-
-    /// `(window start, arrivals/s)` series of one service.
-    pub fn arrival_rate_series(&self, service: ServiceId) -> Vec<(SimTime, f64)> {
-        let secs = self.metrics.window().as_secs_f64();
-        self.metrics
-            .service_series(service)
-            .map(|s| (s.start, f64::from(s.arrivals) / secs))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -297,10 +288,6 @@ mod tests {
         let series = fine.utilization_series(ServiceId::new(0));
         assert!(series.len() >= 45, "got {}", series.len());
         assert_eq!(fine.window(), SimDuration::from_millis(100));
-        let rates = fine.arrival_rate_series(ServiceId::new(0));
-        // ~100 req/s mid-run.
-        let mid = rates[rates.len() / 2].1;
-        assert!((mid - 100.0).abs() < 20.0, "rate {mid}");
     }
 
     #[test]

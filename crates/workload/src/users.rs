@@ -187,11 +187,6 @@ impl BrowsingModel {
     pub fn request_type(&self, state: usize) -> RequestTypeId {
         self.types[state]
     }
-
-    /// Number of states.
-    pub fn num_states(&self) -> usize {
-        self.types.len()
-    }
 }
 
 /// A closed-loop population of `n` emulated users (Section V-B), built for
@@ -881,7 +876,6 @@ mod tests {
             .map(|i| (RequestTypeId::new(i), 1.0 + i as f64))
             .collect();
         let m = BrowsingModel::memoryless(entries);
-        assert_eq!(m.num_states(), n as usize);
         // All states alias the same shared row.
         let p0 = m.transition_weights(0).as_ptr();
         let p1 = m.transition_weights((n - 1) as usize).as_ptr();
