@@ -346,18 +346,6 @@ impl SocialNetwork {
     pub fn offered_rate(&self) -> f64 {
         self.users as f64 / THINK_TIME_S
     }
-
-    /// Request types of the three attackable dependency groups: (write
-    /// path, read path, social path). `read-user-timeline` (rt 5) belongs
-    /// to none — it is isolated behind its cache tier.
-    pub fn expected_groups(&self) -> (Vec<RequestTypeId>, Vec<RequestTypeId>, Vec<RequestTypeId>) {
-        let rt = |i: u32| RequestTypeId::new(i);
-        (
-            vec![rt(0), rt(1), rt(2), rt(3)],
-            vec![rt(4), rt(6)],
-            vec![rt(7), rt(8), rt(9)],
-        )
-    }
 }
 
 /// Mid-tier orchestrators get somewhat larger thread pools than leaves
@@ -394,6 +382,20 @@ fn payload_sizes(name: &str) -> (u64, u64) {
 mod tests {
     use super::*;
     use telemetry::GroundTruth;
+
+    impl SocialNetwork {
+        /// Request types of the three attackable dependency groups: (write
+        /// path, read path, social path). `read-user-timeline` (rt 5)
+        /// belongs to none — it is isolated behind its cache tier.
+        fn expected_groups(&self) -> (Vec<RequestTypeId>, Vec<RequestTypeId>, Vec<RequestTypeId>) {
+            let rt = |i: u32| RequestTypeId::new(i);
+            (
+                vec![rt(0), rt(1), rt(2), rt(3)],
+                vec![rt(4), rt(6)],
+                vec![rt(7), rt(8), rt(9)],
+            )
+        }
+    }
 
     #[test]
     fn topology_has_expected_shape() {

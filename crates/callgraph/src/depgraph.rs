@@ -73,7 +73,7 @@ impl PairwiseDependency {
 /// The bottleneck of each path is its own highest-demand step
 /// ([`ExecutionPath::bottleneck_service`]); callers with runtime knowledge
 /// (e.g. accounting for replica counts) may classify with overridden
-/// bottlenecks via [`classify_pair_with_bottlenecks`].
+/// bottlenecks via [`classify_pair_filtered`].
 ///
 /// # Example
 ///
@@ -94,28 +94,16 @@ impl PairwiseDependency {
 /// assert_eq!(classify_pair(&a, &b), PairwiseDependency::Parallel);
 /// ```
 pub fn classify_pair(a: &ExecutionPath, b: &ExecutionPath) -> PairwiseDependency {
-    classify_pair_with_bottlenecks(a, a.bottleneck_service(), b, b.bottleneck_service())
+    classify_pair_filtered(a, a.bottleneck_service(), b, b.bottleneck_service(), |_| {
+        true
+    })
 }
 
-/// [`classify_pair`] with explicitly supplied bottleneck services.
-///
-/// # Panics
-///
-/// Panics if a supplied bottleneck service is not on its path.
-pub fn classify_pair_with_bottlenecks(
-    a: &ExecutionPath,
-    bottleneck_a: ServiceId,
-    b: &ExecutionPath,
-    bottleneck_b: ServiceId,
-) -> PairwiseDependency {
-    classify_pair_filtered(a, bottleneck_a, b, bottleneck_b, |_| true)
-}
-
-/// [`classify_pair_with_bottlenecks`] restricted to *blockable* services:
-/// a shared microservice can only relay blocking between the two paths if
-/// `is_blockable(service)` — frontend gateways with effectively unbounded
-/// worker pools never fill up and therefore never merge dependency groups,
-/// even though every path traverses them.
+/// [`classify_pair`] with explicitly supplied bottleneck services, restricted
+/// to *blockable* services: a shared microservice can only relay blocking
+/// between the two paths if `is_blockable(service)` — frontend gateways
+/// with effectively unbounded worker pools never fill up and therefore
+/// never merge dependency groups, even though every path traverses them.
 ///
 /// # Panics
 ///
@@ -334,7 +322,7 @@ mod tests {
         let b = chain(1, &[(0, 1), (2, 9)]);
         // Pretend runtime scaling moved b's true bottleneck to the gateway:
         // then a's path shares b's bottleneck service upstream of a's own.
-        let dep = classify_pair_with_bottlenecks(&a, ServiceId::new(1), &b, ServiceId::new(0));
+        let dep = classify_pair_filtered(&a, ServiceId::new(1), &b, ServiceId::new(0), |_| true);
         assert_eq!(
             dep,
             PairwiseDependency::Sequential {
@@ -348,7 +336,7 @@ mod tests {
     fn bottleneck_off_path_panics() {
         let a = chain(0, &[(0, 1)]);
         let b = chain(1, &[(0, 1)]);
-        classify_pair_with_bottlenecks(&a, ServiceId::new(7), &b, ServiceId::new(0));
+        classify_pair_filtered(&a, ServiceId::new(7), &b, ServiceId::new(0), |_| true);
     }
 
     #[test]

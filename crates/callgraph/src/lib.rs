@@ -1,5 +1,5 @@
 //! Call-graph substrate: service topologies, request types, execution
-//! paths, dependency graphs and critical-path extraction.
+//! paths and dependency graphs.
 //!
 //! This crate models the *structure* the Grunt attack exploits — which
 //! microservices exist, which chains of RPC calls each user-request type
@@ -19,8 +19,6 @@
 //!   `grunt` crate).
 //! * [`DependencyGroups`] — connected components of mutually dependent
 //!   paths.
-//! * [`history`] — execution-history graphs (span trees) recorded at
-//!   runtime and CRISP-style critical-path extraction from them.
 //!
 //! # Example
 //!
@@ -47,19 +45,14 @@
 pub mod depgraph;
 pub mod disjoint;
 pub mod groups;
-pub mod history;
 pub mod ids;
 pub mod path;
 pub mod spec;
 pub mod topology;
 
-pub use depgraph::{
-    classify_pair, classify_pair_filtered, classify_pair_with_bottlenecks, DependencyGraph,
-    PairwiseDependency,
-};
+pub use depgraph::{classify_pair, classify_pair_filtered, DependencyGraph, PairwiseDependency};
 pub use disjoint::DisjointSets;
 pub use groups::DependencyGroups;
-pub use history::{CriticalPath, ExecutionHistory, Span, SpanId};
 pub use ids::{RequestTypeId, ServiceId};
 pub use path::ExecutionPath;
 pub use spec::{RequestTypeSpec, ServiceSpec};

@@ -1,11 +1,11 @@
 //! Property-based tests of the graph substrate's invariants.
 
 use callgraph::{
-    classify_pair, DependencyGroups, DisjointSets, ExecutionHistory, ExecutionPath,
-    PairwiseDependency, RequestTypeId, ServiceId,
+    classify_pair, DependencyGroups, DisjointSets, ExecutionPath, PairwiseDependency,
+    RequestTypeId, ServiceId,
 };
 use proptest::prelude::*;
-use simnet::{SimDuration, SimTime};
+use simnet::SimDuration;
 
 /// Strategy: a random chain over a small service universe.
 fn chain_strategy() -> impl Strategy<Value = Vec<(u32, u64)>> {
@@ -122,31 +122,6 @@ proptest! {
         // Elements of different groups are not connected.
         if groups.len() >= 2 {
             prop_assert!(!ds.connected(groups[0][0], groups[1][0]));
-        }
-    }
-
-    /// Critical-path extraction: the path starts at the root, each hop is
-    /// a parent→child edge, and its latency never exceeds the root span.
-    #[test]
-    fn critical_path_is_a_root_chain(spans in prop::collection::vec((0u64..100, 1u64..100), 1..20)) {
-        let mut h = ExecutionHistory::new();
-        let mut ids = Vec::new();
-        for (i, (start, len)) in spans.iter().enumerate() {
-            // Parent: random-ish but always an earlier span (or root).
-            let parent = if i == 0 { None } else { Some(ids[(i * 7) % i]) };
-            let id = h.record(
-                parent,
-                ServiceId::new((i % 5) as u32),
-                SimTime::from_millis(*start),
-                SimTime::from_millis(start + len),
-            );
-            ids.push(id);
-        }
-        let cp = h.critical_path().expect("root exists");
-        let chain = cp.spans();
-        prop_assert_eq!(chain[0].id, ids[0], "starts at the root");
-        for w in chain.windows(2) {
-            prop_assert_eq!(w[1].parent, Some(w[0].id), "consecutive spans are parent/child");
         }
     }
 

@@ -272,8 +272,7 @@ impl ResilienceConfig {
 ///
 /// let cfg = SimConfig::default()
 ///     .seed(42)
-///     .platform(PlatformProfile::azure())
-///     .trace_sampling(0.05);
+///     .platform(PlatformProfile::azure());
 /// assert_eq!(cfg.seed, 42);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -286,9 +285,6 @@ pub struct SimConfig {
     /// 100 ms; coarse 1 s views are aggregated from these windows by the
     /// `telemetry` crate).
     pub window: SimDuration,
-    /// Fraction of requests for which a full span tree is recorded
-    /// (admin-side Jaeger-style tracing). `0.0` disables tracing.
-    pub trace_sampling: f64,
     /// Auto-scaling policy; `None` disables scaling.
     pub autoscale: Option<crate::autoscale::AutoScalePolicy>,
     /// Whether to retain the gateway access log (needed by the IDS in the
@@ -324,12 +320,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the span-tracing sampling fraction (clamped to `[0, 1]`).
-    pub fn trace_sampling(mut self, fraction: f64) -> Self {
-        self.trace_sampling = fraction.clamp(0.0, 1.0);
-        self
-    }
-
     /// Enables auto-scaling with the given policy.
     pub fn autoscale(mut self, policy: crate::autoscale::AutoScalePolicy) -> Self {
         self.autoscale = Some(policy);
@@ -355,7 +345,6 @@ impl Default for SimConfig {
             seed: 0,
             platform: PlatformProfile::default(),
             window: SimDuration::from_millis(100),
-            trace_sampling: 0.0,
             autoscale: None,
             access_log: true,
             resilience: ResilienceConfig::disabled(),
@@ -380,11 +369,9 @@ mod tests {
         let cfg = SimConfig::default()
             .seed(9)
             .window(SimDuration::from_millis(50))
-            .trace_sampling(2.0)
             .access_log(false);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.window, SimDuration::from_millis(50));
-        assert_eq!(cfg.trace_sampling, 1.0);
         assert!(!cfg.access_log);
     }
 

@@ -166,10 +166,6 @@ pub(crate) struct Job {
     /// propagate back. Stored inline (no allocation) up to
     /// [`INLINE_FRAMES`] steps.
     pub frames: InlineVec<Frame, INLINE_FRAMES>,
-    /// Span end times per step for trace recording (admin-side only);
-    /// `None` when tracing is disabled for this job. The backing vector is
-    /// pooled by the kernel and reused across traced jobs.
-    pub spans: Option<Vec<(SimTime, SimTime)>>,
 }
 
 #[cfg(test)]

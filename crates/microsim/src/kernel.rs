@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use callgraph::{ExecutionHistory, RequestTypeId, ServiceId, Topology};
+use callgraph::{RequestTypeId, ServiceId, Topology};
 use simnet::{EventQueue, RngStream, SimDuration, SimTime};
 
 use crate::agent::AgentId;
@@ -64,6 +64,10 @@ pub(crate) enum Event {
 
 const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
+// An in-flight job is one slot of the kernel's job arena, its activation
+// frames stored inline; a field added here grows every slot.
+const _: () = assert!(std::mem::size_of::<Job>() == 224);
+
 /// Why [`Kernel::pump`] returned control to the run loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PumpResult {
@@ -106,13 +110,10 @@ pub struct Kernel {
     /// order; see [`Kernel::next_demand_z`].
     demand_z: [f64; DEMAND_Z_BATCH],
     demand_z_next: usize,
-    trace_rng: RngStream,
     next_token: u64,
     /// Responses produced during event handling, drained by the run loop
     /// and dispatched to agents.
     pub(crate) outbox: Vec<(AgentId, Response)>,
-    /// Recycled span buffers for traced jobs.
-    span_pool: Vec<Vec<(SimTime, SimTime)>>,
     /// Reused per-sample window buffer.
     win_scratch: Vec<ServiceWindow>,
     // Per-window counters (reset at each sample).
@@ -181,7 +182,6 @@ impl Kernel {
             demand_rng: RngStream::from_label(cfg.seed, "kernel/demand"),
             demand_z: [0.0; DEMAND_Z_BATCH],
             demand_z_next: DEMAND_Z_BATCH,
-            trace_rng: RngStream::from_label(cfg.seed, "kernel/trace"),
             topology: Arc::new(topology),
             plan,
             cfg: Arc::new(cfg),
@@ -192,7 +192,6 @@ impl Kernel {
             free_jobs: Vec::new(),
             next_token: 0,
             outbox: Vec::new(),
-            span_pool: Vec::new(),
             win_scratch: Vec::with_capacity(n),
             win_arrivals: vec![0; n],
             win_completions: vec![0; n],
@@ -268,14 +267,6 @@ impl Kernel {
             });
         }
 
-        let trace = self.cfg.trace_sampling > 0.0 && self.trace_rng.chance(self.cfg.trace_sampling);
-        let steps = self.plan.steps(request_type).len();
-        let spans = trace.then(|| {
-            let mut buf = self.span_pool.pop().unwrap_or_default();
-            buf.clear();
-            buf.resize(steps, (SimTime::ZERO, SimTime::ZERO));
-            buf
-        });
         let job = Job {
             agent,
             token,
@@ -287,7 +278,6 @@ impl Kernel {
             attempt: 1,
             cancelled: false,
             frames: crate::inline_vec::InlineVec::new(),
-            spans,
         };
         let id = match self.free_jobs.pop() {
             Some(i) => {
@@ -419,9 +409,6 @@ impl Kernel {
                 replica: ridx as u32,
                 admitted: false,
             });
-            if let Some(spans) = &mut j.spans {
-                spans[step].0 = self.now;
-            }
         }
         let queue_bound = self.cfg.resilience.default.queue_bound;
         let replica = &mut self.services[sidx].replicas[ridx];
@@ -559,9 +546,6 @@ impl Kernel {
         }
         {
             let j = self.jobs[job].as_mut().expect("live job");
-            if let Some(spans) = &mut j.spans {
-                spans[step].1 = self.now;
-            }
             debug_assert_eq!(j.frames.len(), step + 1, "finishing the deepest frame");
             j.frames.pop();
         }
@@ -605,16 +589,6 @@ impl Kernel {
             completed_at: self.now,
             outcome: Outcome::Ok,
         });
-        if let Some(spans) = j.spans {
-            let mut hist = ExecutionHistory::new();
-            let mut parent = None;
-            for (i, &(start, end)) in spans.iter().enumerate() {
-                let service = self.plan.service(j.request_type, i);
-                parent = Some(hist.record(parent, service, start, end));
-            }
-            self.metrics.record_trace(j.request_type, hist);
-            self.span_pool.push(spans);
-        }
         self.outbox.push((
             j.agent,
             Response {
@@ -631,13 +605,10 @@ impl Kernel {
     // ---- resilience: deadlines, retries, breakers, shedding ----
 
     /// Frees a job slot whose last outstanding reference was just
-    /// consumed, returning its span buffer to the pool.
+    /// consumed.
     fn reap(&mut self, job: usize) {
-        let j = self.jobs[job].take().expect("reaping a live slot");
+        self.jobs[job].take().expect("reaping a live slot");
         self.free_jobs.push(job);
-        if let Some(spans) = j.spans {
-            self.span_pool.push(spans);
-        }
     }
 
     /// Reaps `job` if it is a cancelled tombstone. Returns `true` when the
@@ -757,8 +728,7 @@ impl Kernel {
             self.next_token += 1;
             // The retry takes a fresh slot and per-attempt token (deadline
             // staleness keys on it) but keeps the original token and
-            // submission time the client knows. Retries are never traced,
-            // so the trace stream's layout is independent of failures.
+            // submission time the client knows.
             let retry = Job {
                 agent,
                 token,
@@ -770,7 +740,6 @@ impl Kernel {
                 attempt: attempt + 1,
                 cancelled: false,
                 frames: crate::inline_vec::InlineVec::new(),
-                spans: None,
             };
             let id = match self.free_jobs.pop() {
                 Some(i) => {
@@ -1015,9 +984,10 @@ impl Kernel {
         self.deadlines.pending()
     }
 
-    /// Fingerprints of the kernel's RNG streams (demand, trace) without
-    /// advancing them.
+    /// The demand stream's fingerprint without advancing it, plus the
+    /// retired trace word; see [`crate::Simulation::rng_fingerprint`].
     pub(crate) fn rng_fingerprint(&self) -> (u64, u64) {
-        (self.demand_rng.fingerprint(), self.trace_rng.fingerprint())
+        let trace = RngStream::from_label(self.cfg.seed, "kernel/trace");
+        (self.demand_rng.fingerprint(), trace.fingerprint())
     }
 }

@@ -12,9 +12,9 @@
 //! `Arc` instead of deep-copying it, and the request log carries
 //! per-segment indexes so telemetry queries touch only matching records.
 
-use callgraph::{ExecutionHistory, RequestTypeId, ServiceId};
+use callgraph::{RequestTypeId, ServiceId};
 use serde::{Deserialize, Serialize};
-use simnet::{SegLog, SimDuration, SimTime};
+use simnet::{SimDuration, SimTime};
 
 use crate::autoscale::ScalingAction;
 use crate::job::{Origin, Outcome};
@@ -139,7 +139,7 @@ impl ResilienceCounters {
 /// Everything recorded during a simulation run.
 ///
 /// A clone (one per fork) shares the sealed segments of the segmented logs
-/// (`windows`, `request_log`, `access_log`, `traces`) behind `Arc` and
+/// (`windows`, `request_log`, `access_log`) behind `Arc` and
 /// copies only their bounded tails, so fork cost is independent of how
 /// much history the warm run accumulated.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -156,7 +156,6 @@ pub struct Metrics {
     /// per-segment indexes by source IP and session.
     pub(crate) access_log: AccessLog,
     pub(crate) scaling_actions: Vec<ScalingAction>,
-    pub(crate) traces: SegLog<(RequestTypeId, ExecutionHistory)>,
     /// Resilience-layer intervention totals (all zero when disabled).
     pub(crate) resilience: ResilienceCounters,
 }
@@ -170,7 +169,6 @@ impl Metrics {
             request_log: RequestLog::default(),
             access_log: AccessLog::default(),
             scaling_actions: Vec::new(),
-            traces: SegLog::new(),
             resilience: ResilienceCounters::default(),
         }
     }
@@ -247,11 +245,6 @@ impl Metrics {
         &self.scaling_actions
     }
 
-    /// Sampled span trees, with the request type that produced each.
-    pub fn traces(&self) -> &SegLog<(RequestTypeId, ExecutionHistory)> {
-        &self.traces
-    }
-
     /// Resilience-layer intervention totals.
     pub fn resilience(&self) -> &ResilienceCounters {
         &self.resilience
@@ -295,10 +288,6 @@ impl Metrics {
 
     pub(crate) fn record_scaling(&mut self, action: ScalingAction) {
         self.scaling_actions.push(action);
-    }
-
-    pub(crate) fn record_trace(&mut self, rt: RequestTypeId, trace: ExecutionHistory) {
-        self.traces.push((rt, trace));
     }
 }
 

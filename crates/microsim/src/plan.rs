@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use callgraph::{RequestTypeId, ServiceId, Topology};
+use callgraph::{RequestTypeId, Topology};
 
 /// One step of one request type's execution path.
 #[derive(Debug, Clone, Copy)]
@@ -134,28 +134,24 @@ impl Plan {
         self.offsets.len() - 1
     }
 
-    /// Request type `rt`'s path.
-    #[inline]
-    pub(crate) fn steps(&self, rt: RequestTypeId) -> &[Step] {
-        let i = rt.index();
-        &self.steps[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
     /// Step `step` of request type `rt`'s path.
     #[inline]
     pub(crate) fn step(&self, rt: RequestTypeId, step: usize) -> &Step {
         &self.steps[self.offsets[rt.index()] as usize + step]
-    }
-
-    /// The service visited at step `step` of request type `rt`.
-    pub(crate) fn service(&self, rt: RequestTypeId, step: usize) -> ServiceId {
-        ServiceId::new(self.step(rt, step).service)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Plan {
+        /// Request type `rt`'s path.
+        fn steps(&self, rt: RequestTypeId) -> &[Step] {
+            let i = rt.index();
+            &self.steps[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        }
+    }
 
     /// The kernel's per-segment demand before the plan hoisted `mu` and
     /// `sigma`: whether a normal draw is consumed, and the segment length.
@@ -233,6 +229,5 @@ mod tests {
         // Intermediate steps run two half-mean segments; the leaf one.
         assert_eq!(three[1].secs(0.0), 0.002);
         assert_eq!(three[2].secs(0.0), 0.006);
-        assert_eq!(plan.service(RequestTypeId::new(1), 1), c);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A [`SimSnapshot`] freezes *everything* that determines the future of a
 //! simulation — the kernel (event calendar with its `(time, seq)` counter,
-//! replicas, thread-pool occupancy, in-flight jobs and spans, metric
-//! windows, RNG streams) and the state of every registered agent. Forking a
+//! replicas, thread-pool occupancy, in-flight jobs, metric windows, RNG
+//! streams) and the state of every registered agent. Forking a
 //! snapshot yields a [`Simulation`] whose subsequent history is
 //! **bit-identical** to the original's: a snapshot is an exact deep copy of
 //! the mutable state, while the large immutable parts (topology, demand

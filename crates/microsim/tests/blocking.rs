@@ -32,7 +32,6 @@ fn shared_gateway_topology(gw_threads: u32, a_threads: u32) -> callgraph::Topolo
 
 const RA: RequestTypeId = RequestTypeId::new(0);
 const RB: RequestTypeId = RequestTypeId::new(1);
-const GW: ServiceId = ServiceId::new(0);
 const A: ServiceId = ServiceId::new(1);
 
 #[test]
@@ -207,25 +206,6 @@ fn sustained_overload_triggers_scale_up_but_bursts_do_not() {
         .filter(|a| a.direction == microsim::ScalingDirection::Up)
         .count();
     assert_eq!(ups, 0, "sub-second bursts must not trigger scaling");
-}
-
-#[test]
-fn traces_record_span_trees() {
-    let mut sim = Simulation::new(
-        shared_gateway_topology(32, 16),
-        SimConfig::default().trace_sampling(1.0),
-    );
-    sim.add_agent(Box::new(FixedRate::new(RA, ms(10), 5)));
-    sim.run_until(SimTime::from_secs(2));
-    let traces = sim.metrics().traces();
-    assert_eq!(traces.len(), 5);
-    for (rt, hist) in traces {
-        assert_eq!(*rt, RA);
-        let cp = hist.critical_path().expect("root span");
-        assert_eq!(cp.services(), vec![GW, A]);
-        // The 10 ms step dominates: bottleneck attribution must find `a`.
-        assert_eq!(cp.bottleneck_service(), A);
-    }
 }
 
 #[test]

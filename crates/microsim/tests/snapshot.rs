@@ -10,7 +10,7 @@ use microsim::{
     Simulation,
 };
 use proptest::prelude::*;
-use simnet::{SegSamples, SimDuration, SimTime};
+use simnet::{RngStream, SegSamples, SimDuration, SimTime};
 use workload::{BrowsingModel, ClosedLoopUsers};
 
 /// A random small application: 2-5 services, 1-3 chain request types.
@@ -404,4 +404,41 @@ fn saturated_resilient_checkpoint_forks_bit_identically() {
     assert_eq!(fork.pending_deadlines(), sim.pending_deadlines());
     assert_eq!(fork.rng_fingerprint(), sim.rng_fingerprint());
     assert_eq!(fork.metrics(), sim.metrics());
+}
+
+/// `rng_fingerprint`'s second word is retired: no kernel stream draws from
+/// `"kernel/trace"`, but `grunt_bench` folds the word into its expected
+/// digests. It must stay the fingerprint of that untouched stream on a
+/// fresh simulation, after a run under load, and on a fork.
+#[test]
+fn retired_fingerprint_word_is_the_untouched_trace_stream() {
+    let seed = 29;
+    let retired = RngStream::from_label(seed, "kernel/trace").fingerprint();
+    let mut b = TopologyBuilder::new();
+    let gw = b.add_service(ServiceSpec::new("gw").threads(8).demand_cv(0.3));
+    let db = b.add_service(ServiceSpec::new("db").threads(2).demand_cv(0.3));
+    b.add_request_type(
+        "read",
+        vec![
+            (gw, SimDuration::from_millis(1)),
+            (db, SimDuration::from_millis(6)),
+        ],
+    );
+    let mut sim = Simulation::new(b.build(), SimConfig::default().seed(seed));
+    let fresh = sim.rng_fingerprint();
+    assert_eq!(fresh.1, retired);
+
+    sim.add_agent(Box::new(FixedRate::new(
+        RequestTypeId::new(0),
+        SimDuration::from_millis(2),
+        400,
+    )));
+    sim.run_until(SimTime::from_secs(1));
+    let loaded = sim.rng_fingerprint();
+    assert_ne!(loaded.0, fresh.0, "the load must draw service demands");
+    assert_eq!(loaded.1, retired);
+
+    let snapshot = sim.checkpoint().expect("FixedRate supports snapshotting");
+    let fork = Simulation::from_snapshot(&snapshot);
+    assert_eq!(fork.rng_fingerprint(), loaded);
 }

@@ -1,19 +1,19 @@
-//! Ground-truth dependency extraction — the administrator's pipeline.
+//! Ground-truth dependency extraction — the administrator's view.
 //!
-//! Reproduces the Jaeger + Collectl methodology of the paper's live-attack
-//! experiments (Section V-C): sample span trees of completed requests,
-//! extract each request type's critical path and attribute its runtime
-//! bottleneck by largest self-time, then classify every pair of request
-//! types with the taxonomy of Definitions I/II. The result is the
-//! reference against which the blackbox profiler's output is scored
-//! (precision / recall / F-score, Fig 16).
+//! The paper's live-attack experiments (Section V-C) took ground truth from
+//! Jaeger traces and Collectl resource data. Here the administrator knows
+//! the deployment, so [`GroundTruth::from_topology`] derives it directly:
+//! it attributes each request type's effective bottleneck by capacity and
+//! classifies every pair of request types with the taxonomy of
+//! Definitions I/II by the *physical blocking* analysis of Section III.
+//! The result is the reference against which the blackbox profiler's
+//! output is scored (precision / recall / F-score, Fig 16).
 
 use std::collections::BTreeMap;
 
 use callgraph::{
     DependencyGroups, ExecutionPath, PairwiseDependency, RequestTypeId, ServiceId, Topology,
 };
-use microsim::Metrics;
 
 /// The administrator's view of who bottlenecks where and which paths
 /// depend on which.
@@ -56,54 +56,6 @@ impl GroundTruth {
                 )
             })
             .collect();
-        let groups = physical_groups(topology, &paths, &bottlenecks);
-        GroundTruth {
-            paths,
-            bottlenecks,
-            groups,
-        }
-    }
-
-    /// Derives ground truth from runtime traces: for each request type the
-    /// bottleneck service is the one most often attributed the largest
-    /// self-time along sampled critical paths. Falls back to the static
-    /// bottleneck for request types with no samples.
-    ///
-    /// This is the live-experiment methodology (tracing + per-service
-    /// resource attribution) and accounts for replica scaling shifting a
-    /// bottleneck away from the highest-demand step.
-    pub fn from_traces(topology: &Topology, metrics: &Metrics) -> Self {
-        let paths = topology.paths();
-        // Vote per (request type, service).
-        let mut votes: BTreeMap<RequestTypeId, BTreeMap<ServiceId, u32>> = BTreeMap::new();
-        for (rt, hist) in metrics.traces() {
-            if let Some(cp) = hist.critical_path() {
-                *votes
-                    .entry(*rt)
-                    .or_default()
-                    .entry(cp.bottleneck_service())
-                    .or_insert(0) += 1;
-            }
-        }
-        let bottlenecks: BTreeMap<RequestTypeId, ServiceId> = paths
-            .iter()
-            .map(|p| {
-                let rt = p.request_type();
-                let winner = votes.get(&rt).and_then(|per_svc| {
-                    per_svc
-                        .iter()
-                        .max_by_key(|(svc, n)| (**n, std::cmp::Reverse(**svc)))
-                        .map(|(svc, _)| *svc)
-                });
-                (
-                    rt,
-                    winner.unwrap_or_else(|| {
-                        effective_bottleneck(topology, p).unwrap_or_else(|| p.bottleneck_service())
-                    }),
-                )
-            })
-            .collect();
-
         let groups = physical_groups(topology, &paths, &bottlenecks);
         GroundTruth {
             paths,
@@ -331,9 +283,7 @@ impl ProfilerScore {
 mod tests {
     use super::*;
     use callgraph::{ServiceSpec, TopologyBuilder};
-    use microsim::agents::FixedRate;
-    use microsim::{SimConfig, Simulation};
-    use simnet::{SimDuration, SimTime};
+    use simnet::SimDuration;
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
@@ -362,24 +312,6 @@ mod tests {
             PairwiseDependency::Parallel
         );
         assert_eq!(gt.groups().len(), 2);
-    }
-
-    #[test]
-    fn trace_ground_truth_agrees_with_static_when_unscaled() {
-        let t = topo();
-        let mut sim = Simulation::new(t.clone(), SimConfig::default().trace_sampling(1.0));
-        for rt in 0..2 {
-            sim.add_agent(Box::new(FixedRate::new(RequestTypeId::new(rt), ms(20), 20)));
-        }
-        sim.run_until(SimTime::from_secs(3));
-        let m = sim.into_metrics();
-        let gt = GroundTruth::from_traces(&t, &m);
-        let static_gt = GroundTruth::from_topology(&t);
-        for rt in 0..3 {
-            let rt = RequestTypeId::new(rt);
-            assert_eq!(gt.bottleneck(rt), static_gt.bottleneck(rt), "{rt}");
-        }
-        assert_eq!(gt.groups().len(), static_gt.groups().len());
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!   [`find_millibottlenecks`].
 //! * [`LatencySeries`] / [`LatencySummary`] — client-perceived response
 //!   times, split legitimate vs attack traffic by ground-truth origin.
-//! * [`GroundTruth`] — the Jaeger + Collectl pipeline of Section V-C:
-//!   extract critical paths from sampled span trees, attribute each
-//!   request type's runtime bottleneck, and classify pairwise dependencies
-//!   (the reference the blackbox profiler is scored against in Fig 16).
+//! * [`GroundTruth`] — the administrator's reference, where Section V-C
+//!   used Jaeger + Collectl: attribute each request type's bottleneck and
+//!   classify pairwise dependencies by the physical blocking analysis of
+//!   the deployed topology (the reference the blackbox profiler is scored
+//!   against in Fig 16).
 
 pub mod ground_truth;
 pub mod latency;

@@ -45,13 +45,6 @@ impl PoissonSource {
         Self::new(mix, RateTrace::constant(rate), stop_at, seed)
     }
 
-    /// Overrides the number of distinct user sessions the traffic is
-    /// spread over (affects only IDS-visible identity, not timing).
-    pub fn with_sessions(mut self, sessions: u64) -> Self {
-        self.sessions = sessions.max(1);
-        self
-    }
-
     fn schedule_next(&mut self, ctx: &mut SimCtx<'_>) {
         let now = ctx.now();
         if now >= self.stop_at {
@@ -86,6 +79,15 @@ mod tests {
     use super::*;
     use callgraph::{RequestTypeId, ServiceSpec, TopologyBuilder};
     use microsim::{SimConfig, Simulation};
+
+    impl PoissonSource {
+        /// Overrides the number of distinct user sessions the traffic is
+        /// spread over (affects only IDS-visible identity, not timing).
+        fn with_sessions(mut self, sessions: u64) -> Self {
+            self.sessions = sessions.max(1);
+            self
+        }
+    }
 
     fn topo() -> callgraph::Topology {
         let mut b = TopologyBuilder::new();
